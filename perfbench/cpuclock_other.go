@@ -1,0 +1,11 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+var processStart = time.Now()
+
+// cpuNow falls back to wall time where the process CPU clock is not
+// read.
+func cpuNow() time.Duration { return time.Since(processStart) }
