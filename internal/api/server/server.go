@@ -257,12 +257,14 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// journal makes one record durable ahead of its apply; callers hold
-// s.wmu. A full checkpoint follows every SnapshotEvery records.
-func (s *Server) journal(rec durable.Record) error {
+// journal stamps one record with the virtual time it applies at and
+// makes it durable ahead of its apply; callers hold s.wmu. A full
+// checkpoint follows every SnapshotEvery records.
+func (s *Server) journal(at sim.Time, rec durable.Record) error {
 	if s.cfg.Store == nil {
 		return nil
 	}
+	rec.SetTime(at)
 	if _, err := s.cfg.Store.Append(rec); err != nil {
 		return err
 	}
@@ -358,7 +360,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	at := s.sess.Now()
-	if err := s.journal(durable.Record{TimeS: sim.ToSeconds(at), Kind: durable.KindSubmit, App: &dto}); err != nil {
+	if err := s.journal(at, durable.Record{Kind: durable.KindSubmit, App: &dto}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return
 	}
@@ -428,9 +430,8 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindAccept,
-		AppID: id, OfferIndex: req.OfferIndex,
+	if err := s.journal(s.sess.Now(), durable.Record{
+		Kind: durable.KindAccept, AppID: id, OfferIndex: req.OfferIndex,
 	}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return
@@ -474,9 +475,8 @@ func (s *Server) counter(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindCounter,
-		AppID: id, DeadlineS: req.DeadlineS, Price: req.Price,
+	if err := s.journal(s.sess.Now(), durable.Record{
+		Kind: durable.KindCounter, AppID: id, DeadlineS: req.DeadlineS, Price: req.Price,
 	}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return
@@ -499,8 +499,8 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindReject, AppID: id,
+	if err := s.journal(s.sess.Now(), durable.Record{
+		Kind: durable.KindReject, AppID: id,
 	}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return
@@ -542,9 +542,8 @@ func (s *Server) deployRevision(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindDeployRevision,
-		AppID: id, Revision: req.Name,
+	if err := s.journal(s.sess.Now(), durable.Record{
+		Kind: durable.KindDeployRevision, AppID: id, Revision: req.Name,
 	}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return
@@ -574,9 +573,8 @@ func (s *Server) setTraffic(w http.ResponseWriter, r *http.Request) {
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindSetTraffic,
-		AppID: id, Weights: req.Weights,
+	if err := s.journal(s.sess.Now(), durable.Record{
+		Kind: durable.KindSetTraffic, AppID: id, Weights: req.Weights,
 	}); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
 		return

@@ -77,10 +77,30 @@ type Auditor struct {
 	Checks     int64
 	Violations int64
 
-	// Monotonicity snapshots from the previous audit.
-	lastCounters []int64
-	lastSpend    []float64 // per provider: TotalSpend, SpotSpend
-	lastCost     map[string]float64
+	// counters are the platform, VMM and provider counters in snapshot
+	// order, resolved once at construction.
+	counters []*metrics.Counter
+
+	// Monotonicity snapshots from the previous audit, and the buffers
+	// the current audit fills before they swap in. lastCost is indexed
+	// by ledger position: the ledger is append-only, so position i
+	// names the same application at every audit.
+	lastCounters, curCounters []int64
+	lastSpend, curSpend       []float64 // per provider: TotalSpend, SpotSpend
+	lastCost                  []float64
+
+	// nodeIDs is checkCM's reusable buffer for a VC's attached node IDs.
+	nodeIDs []string
+
+	// now and errs are the running audit's clock and the violations it
+	// has found so far.
+	now  sim.Time
+	errs []error
+
+	// freeVisit checks one of visitCM's free-index nodes against its
+	// lease table; it is bound once so the visit allocates nothing.
+	visitCM   *ClusterManager
+	freeVisit func(id string) bool
 }
 
 // newAuditor returns an armed-on-demand auditor, or nil when disabled.
@@ -96,7 +116,32 @@ func newAuditor(p *Platform, cfg *AuditConfig) *Auditor {
 	if onFail == nil {
 		onFail = func(err error) { panic(err) }
 	}
-	return &Auditor{p: p, every: every, onFail: onFail, lastCost: make(map[string]float64)}
+	a := &Auditor{p: p, every: every, onFail: onFail, counters: auditCounters(p)}
+	a.freeVisit = func(id string) bool {
+		if _, ok := a.visitCM.nodes[id]; !ok {
+			a.fail("%s: free node %s not in CM lease table", a.visitCM.name, id)
+		}
+		return true
+	}
+	return a
+}
+
+// auditCounters lists every platform, VMM and provider counter for the
+// monotonicity check. Platform counters are enumerated by reflection,
+// once, so counters added later are covered automatically.
+func auditCounters(p *Platform) []*metrics.Counter {
+	var out []*metrics.Counter
+	rv := reflect.ValueOf(&p.Counters).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if c, ok := rv.Field(i).Addr().Interface().(*metrics.Counter); ok {
+			out = append(out, c)
+		}
+	}
+	out = append(out, &p.VMM.Starts, &p.VMM.Stops, &p.VMM.Crashes)
+	for _, prov := range p.Clouds {
+		out = append(out, &prov.Launches, &prov.Failures, &prov.Revocations)
+	}
+	return out
 }
 
 // arm schedules the next audit barrier. The timer is armed when work
@@ -155,33 +200,32 @@ func (p *Platform) AuditNow() error {
 }
 
 // check evaluates the whole invariant catalogue and returns the
-// violations found.
+// violations found. It walks every application each VC has admitted,
+// every VM ever started and every ledger record, each an append-only
+// slice in order, so open-segment violations come in admission order.
 func (a *Auditor) check() []error {
-	var errs []error
 	p := a.p
 	now := p.Eng.Now()
-	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("audit[t=%s]: "+format, append([]any{now}, args...)...))
-	}
+	a.now, a.errs = now, nil
 
 	sumSegPrivate, sumSegCloud, totalOwned := 0, 0, 0
 	for _, name := range p.cmOrder {
 		cm := p.cms[name]
-		a.checkCM(cm, fail)
+		a.checkCM(cm)
 		totalOwned += cm.OwnedPrivate
-		for _, id := range sortedAppIDs(cm) {
-			st := cm.apps[id]
+		for _, st := range cm.admitted {
 			if !st.segOpen {
 				continue
 			}
+			id := st.app.ID
 			if st.segRate < 0 {
-				fail("%s/%s: open segment with negative rate %g", name, id, st.segRate)
+				a.fail("%s/%s: open segment with negative rate %g", name, id, st.segRate)
 			}
 			if st.segStart > now {
-				fail("%s/%s: open segment starts in the future (%s)", name, id, st.segStart)
+				a.fail("%s/%s: open segment starts in the future (%s)", name, id, st.segStart)
 			}
 			if st.segPrivateN < 0 || st.segCloudN < 0 {
-				fail("%s/%s: open segment with negative node counts (%d private, %d cloud)",
+				a.fail("%s/%s: open segment with negative node counts (%d private, %d cloud)",
 					name, id, st.segPrivateN, st.segCloudN)
 			}
 			sumSegPrivate += st.segPrivateN
@@ -193,94 +237,106 @@ func (a *Auditor) check() []error {
 	// of the open accounting segments (segment and gauge moves are
 	// atomic in openSegment/closeSegment).
 	if v := p.PrivateUsed.Value(); v != sumSegPrivate {
-		fail("PrivateUsed gauge %d != %d private nodes across open segments", v, sumSegPrivate)
+		a.fail("PrivateUsed gauge %d != %d private nodes across open segments", v, sumSegPrivate)
 	}
 	if v := p.CloudUsed.Value(); v != sumSegCloud {
-		fail("CloudUsed gauge %d != %d cloud nodes across open segments", v, sumSegCloud)
+		a.fail("CloudUsed gauge %d != %d cloud nodes across open segments", v, sumSegCloud)
 	}
 
 	// Substrate self-audits.
-	if err := p.VMM.Audit(); err != nil {
-		errs = append(errs, err)
+	vmCounts, err := p.VMM.Audit()
+	if err != nil {
+		a.errs = append(a.errs, err)
 	}
-	vmCounts := p.VMM.StateCounts()
 	if run := vmCounts[vmm.StateRunning]; totalOwned > run {
-		fail("%d private nodes attached across VCs but only %d VMs running", totalOwned, run)
+		a.fail("%d private nodes attached across VCs but only %d VMs running", totalOwned, run)
 	}
 	for _, prov := range p.Clouds {
 		if err := prov.Audit(); err != nil {
-			errs = append(errs, err)
+			a.errs = append(a.errs, err)
 		}
 	}
 
 	// Gauge sanity: non-negative, and the last series point carries the
 	// current value (compaction preserves the most recent sample).
-	a.checkGauge(p.PrivateUsed, fail)
-	a.checkGauge(p.CloudUsed, fail)
-	a.checkGauge(p.VMM.UsedGauge, fail)
+	a.checkGauge(p.PrivateUsed)
+	a.checkGauge(p.CloudUsed)
+	a.checkGauge(p.VMM.UsedGauge)
 	for _, prov := range p.Clouds {
-		a.checkGauge(prov.UsedGauge, fail)
+		a.checkGauge(prov.UsedGauge)
 	}
 
 	// Counter and spend monotonicity against the previous audit.
-	cur := a.counterSnapshot()
-	if a.lastCounters != nil && len(a.lastCounters) == len(cur) {
+	cur := a.curCounters[:0]
+	for _, c := range a.counters {
+		cur = append(cur, c.Count)
+	}
+	if a.lastCounters != nil {
 		for i, v := range cur {
 			if v < a.lastCounters[i] {
-				fail("counter #%d decreased (%d -> %d)", i, a.lastCounters[i], v)
+				a.fail("counter #%d decreased (%d -> %d)", i, a.lastCounters[i], v)
 			}
 		}
 	}
 	for _, v := range cur {
 		if v < 0 {
-			fail("negative counter value %d", v)
+			a.fail("negative counter value %d", v)
 		}
 	}
-	a.lastCounters = cur
+	a.lastCounters, a.curCounters = cur, a.lastCounters
 
-	spend := make([]float64, 0, 2*len(p.Clouds))
+	spend := a.curSpend[:0]
 	for _, prov := range p.Clouds {
 		spend = append(spend, prov.TotalSpend, prov.SpotSpend)
 	}
-	if a.lastSpend != nil && len(a.lastSpend) == len(spend) {
+	if a.lastSpend != nil {
 		for i, v := range spend {
 			if v < a.lastSpend[i]-1e-9 {
-				fail("provider spend #%d decreased (%g -> %g)", i, a.lastSpend[i], v)
+				a.fail("provider spend #%d decreased (%g -> %g)", i, a.lastSpend[i], v)
 			}
 		}
 	}
-	a.lastSpend = spend
+	a.lastSpend, a.curSpend = spend, a.lastSpend
 
 	// Ledger sanity: prices, penalties and costs are non-negative,
 	// completed records are time-ordered, and per-app cost never
 	// shrinks between audits.
-	for _, rec := range p.Ledger.All() {
+	for i, rec := range p.Ledger.All() {
 		if rec.Cost < 0 || rec.Penalty < 0 || rec.Price < 0 {
-			fail("app %s: negative money (price=%g penalty=%g cost=%g)", rec.ID, rec.Price, rec.Penalty, rec.Cost)
+			a.fail("app %s: negative money (price=%g penalty=%g cost=%g)", rec.ID, rec.Price, rec.Penalty, rec.Cost)
 		}
 		if rec.EndTime > 0 && rec.StartTime > 0 && rec.EndTime < rec.StartTime {
-			fail("app %s: ends before it starts (%s < %s)", rec.ID, rec.EndTime, rec.StartTime)
+			a.fail("app %s: ends before it starts (%s < %s)", rec.ID, rec.EndTime, rec.StartTime)
 		}
-		if prev, ok := a.lastCost[rec.ID]; ok && rec.Cost < prev-1e-9 {
-			fail("app %s: cost decreased (%g -> %g)", rec.ID, prev, rec.Cost)
+		if i == len(a.lastCost) {
+			a.lastCost = append(a.lastCost, rec.Cost)
+			continue
 		}
-		a.lastCost[rec.ID] = rec.Cost
+		if prev := a.lastCost[i]; rec.Cost < prev-1e-9 {
+			a.fail("app %s: cost decreased (%g -> %g)", rec.ID, prev, rec.Cost)
+		}
+		a.lastCost[i] = rec.Cost
 	}
 
 	if p.remaining < 0 {
-		fail("negative remaining-application count %d", p.remaining)
+		a.fail("negative remaining-application count %d", p.remaining)
 	}
-	return errs
+	return a.errs
+}
+
+// fail records one violation of the running audit.
+func (a *Auditor) fail(format string, args ...any) {
+	a.errs = append(a.errs, fmt.Errorf("audit[t=%s]: "+format, append([]any{a.now}, args...)...))
 }
 
 // checkCM audits one VC: node conservation between the framework, the
 // CM lease table and OwnedPrivate; index recounts via
 // framework.Inspector; and lease-table/ResourceManager agreement for
 // every attached node.
-func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
+func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
 	attached, cloudAttached := len(cm.nodes), 0
-	ids := make([]string, 0, attached)
+	ids := a.nodeIDs[:0]
 	for id, info := range cm.nodes {
 		ids = append(ids, id)
 		if info.cloud {
@@ -288,12 +344,13 @@ func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
 		}
 	}
 	sort.Strings(ids)
+	a.nodeIDs = ids
 
 	if n := cm.fw.NumNodes(); n != attached {
-		fail("%s: framework holds %d nodes but CM lease table has %d", name, n, attached)
+		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, attached)
 	}
 	if own := attached - cloudAttached; cm.OwnedPrivate != own {
-		fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
+		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
 	}
 
 	if insp, ok := cm.fw.(framework.Inspector); ok {
@@ -302,11 +359,11 @@ func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
 		for _, id := range ids {
 			st, ok := insp.InspectNode(id)
 			if !ok {
-				fail("%s: node %s in CM lease table but unknown to framework", name, id)
+				a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
 				continue
 			}
 			if st.Cloud != cm.nodes[id].cloud {
-				fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
+				a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
 			}
 			if st.Busy {
 				continue
@@ -321,17 +378,15 @@ func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
 		}
 		for k, cloudKind := range []bool{false, true} {
 			if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
-				fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
+				a.fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
 			}
 		}
 		if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
-			fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
+			a.fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
 		}
-		for _, id := range cm.fw.FreeNodeIDs() {
-			if _, ok := cm.nodes[id]; !ok {
-				fail("%s: free node %s not in CM lease table", name, id)
-			}
-		}
+		a.visitCM = cm
+		cm.fw.VisitFreeNodes(false, a.freeVisit)
+		cm.fw.VisitFreeNodes(true, a.freeVisit)
 	}
 
 	for _, id := range ids {
@@ -339,71 +394,41 @@ func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
 		if !info.cloud {
 			vm, err := cm.p.VMM.Get(id)
 			if err != nil {
-				fail("%s: attached private node %s unknown to VMM", name, id)
+				a.fail("%s: attached private node %s unknown to VMM", name, id)
 				continue
 			}
 			if vm.State != vmm.StateRunning {
-				fail("%s: attached private node %s is %v", name, id, vm.State)
+				a.fail("%s: attached private node %s is %v", name, id, vm.State)
 			}
 			continue
 		}
 		if info.provider == nil {
-			fail("%s: attached cloud node %s has no provider", name, id)
+			a.fail("%s: attached cloud node %s has no provider", name, id)
 			continue
 		}
 		inst, ok := info.provider.Lease(info.instID)
 		if !ok {
-			fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
+			a.fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
 			continue
 		}
 		if inst.State != cloud.InstanceRunning {
-			fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
+			a.fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
 		}
 		if inst.PriceAtLaunch != info.rate {
-			fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
+			a.fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
 		}
 	}
 }
 
 // checkGauge verifies non-negativity and that the gauge's series ends
 // at its current value.
-func (a *Auditor) checkGauge(g *metrics.Gauge, fail func(string, ...any)) {
+func (a *Auditor) checkGauge(g *metrics.Gauge) {
 	v := g.Value()
 	if v < 0 {
-		fail("gauge %s negative (%d)", g.Series().Name, v)
+		a.fail("gauge %s negative (%d)", g.Series().Name, v)
 	}
 	pts := g.Series().Points()
 	if n := len(pts); n > 0 && pts[n-1].Value != float64(v) {
-		fail("gauge %s value %d disagrees with last series point %g", g.Series().Name, v, pts[n-1].Value)
+		a.fail("gauge %s value %d disagrees with last series point %g", g.Series().Name, v, pts[n-1].Value)
 	}
-}
-
-// counterSnapshot flattens every platform, VMM and provider counter
-// into one slice for the monotonicity check. Platform counters are
-// enumerated by reflection so counters added later are covered
-// automatically.
-func (a *Auditor) counterSnapshot() []int64 {
-	var vals []int64
-	rv := reflect.ValueOf(&a.p.Counters).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		if c, ok := rv.Field(i).Addr().Interface().(*metrics.Counter); ok {
-			vals = append(vals, c.Count)
-		}
-	}
-	vals = append(vals, a.p.VMM.Starts.Count, a.p.VMM.Stops.Count, a.p.VMM.Crashes.Count)
-	for _, prov := range a.p.Clouds {
-		vals = append(vals, prov.Launches.Count, prov.Failures.Count, prov.Revocations.Count)
-	}
-	return vals
-}
-
-// sortedAppIDs returns a CM's application IDs in stable order (audit
-// failure messages must be deterministic across runs).
-func sortedAppIDs(cm *ClusterManager) []string {
-	ids := make([]string, 0, len(cm.apps))
-	for id := range cm.apps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

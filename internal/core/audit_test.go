@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"meryn/internal/sim"
+	"meryn/internal/vmm"
 	"meryn/internal/workload"
 )
 
@@ -90,6 +92,150 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 	cm.OwnedPrivate-- // restore
 	if err := p.AuditNow(); err != nil {
 		t.Fatalf("restored platform still fails: %v", err)
+	}
+}
+
+// drainedAuditPlatform runs a small workload to completion on one batch
+// VC with a cloud: the first app settles long before the last, a burst
+// leases a cloud node, and a private VM crash leaves a crashed VM
+// behind its replacement. Violations are collected, not panicked on.
+func drainedAuditPlatform(t *testing.T) *Platform {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.VCs = []VCConfig{{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 2}}
+	cfg.Audit = &AuditConfig{OnFail: func(error) {}}
+	p := newPlatform(t, cfg)
+	crashFirstRunningVM(t, p, sim.Seconds(2000))
+	w := workload.Workload{
+		batchApp("a1", "vc1", 0, 600),
+		batchApp("a2", "vc1", 700, 1550),
+		batchApp("a3", "vc1", 710, 1550),
+		batchApp("a4", "vc1", 720, 1550),
+	}
+	for i := 0; i < 20; i++ {
+		w = append(w, batchApp(fmt.Sprintf("late-%d", i), "vc1", float64(4000+300*i), 200))
+	}
+	run(t, p, w)
+	if err := p.AuditNow(); err != nil {
+		t.Fatalf("drained platform fails audit before corruption: %v", err)
+	}
+	return p
+}
+
+// attachIdleCloudNode leases one cloud node into vc1 and steps the
+// engine until it is attached, returning its ID.
+func attachIdleCloudNode(t *testing.T, p *Platform) string {
+	t.Helper()
+	cm, _ := p.CM("vc1")
+	cm.BoostWithCloud(1)
+	for len(cloudNodeIDs(cm)) == 0 {
+		if !p.Eng.Step() {
+			t.Fatal("cloud boost never attached")
+		}
+	}
+	return cloudNodeIDs(cm)[0]
+}
+
+// TestAuditorCorruptionCatalogue corrupts one catalogue entry at a time
+// on a drained platform; AuditNow must name the broken invariant. The
+// settled-app and settled-record cases need the walk over the whole
+// admission history, not just live applications.
+func TestAuditorCorruptionCatalogue(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, p *Platform)
+		want    string
+	}{
+		{"negative open-segment rate", func(t *testing.T, p *Platform) {
+			cm, _ := p.CM("vc1")
+			st := cm.apps["late-7"]
+			st.segOpen, st.segRate = true, -1
+		}, "open segment with negative rate"},
+		{"bumped PrivateUsed gauge", func(t *testing.T, p *Platform) {
+			p.PrivateUsed.Add(p.Eng.Now(), 1)
+		}, "PrivateUsed gauge 1 != 0"},
+		{"attached VM crashed without release", func(t *testing.T, p *Platform) {
+			cm, _ := p.CM("vc1")
+			for id, info := range cm.nodes {
+				if !info.cloud {
+					vm, err := p.VMM.Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vm.State = vmm.StateCrashed
+					return
+				}
+			}
+			t.Fatal("no attached private node")
+		}, "is crashed"},
+		{"changed cloud-node rate", func(t *testing.T, p *Platform) {
+			id := attachIdleCloudNode(t, p)
+			if err := p.AuditNow(); err != nil {
+				t.Fatalf("boosted platform fails audit: %v", err)
+			}
+			cm, _ := p.CM("vc1")
+			cm.nodes[id].rate *= 2
+		}, "lease price locked at"},
+		{"counter decreased", func(t *testing.T, p *Platform) {
+			if p.Counters.CloudLeases.Count == 0 {
+				t.Fatal("workload leased no cloud node")
+			}
+			p.Counters.CloudLeases.Count--
+		}, "decreased"},
+		{"VM running without active++", func(t *testing.T, p *Platform) {
+			vms := p.VMM.List(vmm.StateCrashed)
+			if len(vms) == 0 {
+				t.Fatal("no crashed VM")
+			}
+			vms[0].State = vmm.StateRunning
+		}, "vmm: active="},
+		{"settled app's segment reopened with nodes", func(t *testing.T, p *Platform) {
+			cm, _ := p.CM("vc1")
+			st := cm.apps["a1"]
+			st.segOpen, st.segPrivateN = true, 1
+		}, "PrivateUsed gauge 0 != 1 private nodes across open segments"},
+		{"settled record's cost lowered", func(t *testing.T, p *Platform) {
+			rec := p.Ledger.Get("a1")
+			if rec.Cost <= 0 {
+				t.Fatalf("a1 cost = %g, want > 0", rec.Cost)
+			}
+			rec.Cost /= 2
+		}, "app a1: cost decreased"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := drainedAuditPlatform(t)
+			tc.corrupt(t, p)
+			err := p.AuditNow()
+			if err == nil {
+				t.Fatal("corruption passed the audit")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("violation does not name the broken invariant %q: %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// TestAuditNowAllocsFlatInHistory: a clean audit allocates the same
+// after 50 and after 500 settled apps — the walk over the admission
+// history reuses the auditor's buffers instead of allocating per app.
+func TestAuditNowAllocsFlatInHistory(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := settledPlatform(t, n)
+		for i := 0; i < 2; i++ { // size the snapshot buffers
+			if err := p.AuditNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := p.AuditNow(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a50, a500 := allocs(50), allocs(500); a50 != a500 {
+		t.Fatalf("AuditNow allocates %v times after 50 settled apps but %v after 500", a50, a500)
 	}
 }
 

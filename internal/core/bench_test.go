@@ -98,6 +98,46 @@ func benchAuditRun(b *testing.B, disabled bool) {
 func BenchmarkPlatformRunAuditOn(b *testing.B)  { benchAuditRun(b, false) }
 func BenchmarkPlatformRunAuditOff(b *testing.B) { benchAuditRun(b, true) }
 
+// settledPlatform runs n short batch apps, staggered a minute apart,
+// through a 10-VM VC under the default auditor and returns the drained
+// platform: a long admission history with nothing left running.
+func settledPlatform(tb testing.TB, n int) *Platform {
+	tb.Helper()
+	w := make(workload.Workload, n)
+	for i := range w {
+		w[i] = batchApp(fmt.Sprintf("app-%d", i), "vc1", float64(60*i), 300)
+	}
+	p, err := NewPlatform(onevcConfig(10))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.Run(w); err != nil {
+		tb.Fatal(err)
+	}
+	if got := len(p.Ledger.All()); got != n {
+		tb.Fatalf("ledger holds %d apps, want %d", got, n)
+	}
+	return p
+}
+
+// BenchmarkAuditNow measures one audit of a drained platform after 100,
+// 1,000 and 10,000 settled apps (recorded in BENCH_chaos.json): the
+// cost every audit pays for the admission history it walks.
+func BenchmarkAuditNow(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("settled=%d", n), func(b *testing.B) {
+			p := settledPlatform(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.AuditNow(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFreePrivateCount measures the idle-private-VM count used by
 // the VM exchange protocol (acquireFromVC, processLoanReturns) on a VC
 // with 25 idle nodes.

@@ -112,6 +112,9 @@ type ClusterManager struct {
 	avail int
 	nodes map[string]*nodeInfo
 	apps  map[string]*appState
+	// admitted lists every app in apps, append-only in admission order,
+	// so the auditor walks the whole history without a sort or a map.
+	admitted []*appState
 
 	pending  []*appState // apps waiting for any placement option
 	victims  []victim    // suspended apps awaiting resume, FIFO
@@ -396,6 +399,9 @@ func (cm *ClusterManager) acceptContract(st *appState, contract *sla.Contract) {
 	st.rec.NumVMs = contract.NumVMs
 	st.rec.Deadline = contract.AbsoluteDeadline(st.rec.SubmitTime)
 	st.rec.Price = contract.Price
+	if _, seen := cm.apps[st.app.ID]; !seen {
+		cm.admitted = append(cm.admitted, st)
+	}
 	cm.apps[st.app.ID] = st
 	if neg := cm.p.sessionNeg(st.app.ID); neg != nil {
 		neg.noteAgreed(cm, st, contract)

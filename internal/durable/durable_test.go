@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"meryn/internal/api"
+	"meryn/internal/sim"
 )
 
 var testMeta = Meta{Seed: 1, Policy: "meryn"}
@@ -238,11 +239,12 @@ func TestJournalGap(t *testing.T) {
 // TestRecordValidate rejects the shapes that could never replay.
 func TestRecordValidate(t *testing.T) {
 	bad := []Record{
-		{Kind: KindSubmit},                        // no app
-		{Kind: KindSubmit, App: &api.App{}},       // no ID
-		{Kind: KindAccept},                        // no target
-		{Kind: "warp", AppID: "a"},                // unknown kind
-		{Kind: KindReject, AppID: "a", TimeS: -1}, // negative time
+		{Kind: KindSubmit},                         // no app
+		{Kind: KindSubmit, App: &api.App{}},        // no ID
+		{Kind: KindAccept},                         // no target
+		{Kind: "warp", AppID: "a"},                 // unknown kind
+		{Kind: KindReject, AppID: "a", TimeS: -1},  // negative time
+		{Kind: KindReject, AppID: "a", TimeNS: -1}, // negative time
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -251,5 +253,24 @@ func TestRecordValidate(t *testing.T) {
 	}
 	if err := submitRec("a", 0).Validate(); err != nil {
 		t.Errorf("good record rejected: %v", err)
+	}
+}
+
+// TestRecordTime: a record stamped with SetTime replays at its exact
+// nanosecond, even where float64 seconds cannot name it; a journal
+// written before TimeNS existed still replays at TimeS.
+func TestRecordTime(t *testing.T) {
+	at := sim.Time(16003129634326901) // ~1.6e7 s: TimeS rounds a nanosecond off
+	var r Record
+	r.SetTime(at)
+	if r.Time() != at {
+		t.Fatalf("Time() = %d, want %d", r.Time(), at)
+	}
+	if sim.Seconds(r.TimeS) == at {
+		t.Fatalf("TimeS %v round-trips exactly; pick an instant float64 cannot name", r.TimeS)
+	}
+	old := Record{TimeS: 12.5}
+	if old.Time() != sim.Seconds(12.5) {
+		t.Fatalf("legacy record Time() = %v, want 12.5 s", old.Time())
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"meryn/internal/api"
+	"meryn/internal/sim"
 )
 
 // Kind tags a journal record with the API action it captures.
@@ -43,14 +44,19 @@ const (
 	KindSetTraffic     Kind = "set-traffic"
 )
 
-// Record is one state-changing control-plane action. TimeS is the
-// virtual clock at the moment the action was applied; Replay steps the
-// engine there before re-applying, which is what makes the rebuilt
-// state identical rather than merely similar.
+// Record is one state-changing control-plane action. TimeNS is the
+// virtual clock at the moment the action was applied, in integer
+// nanoseconds; Replay steps the engine there before re-applying, which
+// is what makes the rebuilt state identical rather than merely
+// similar. TimeS is the same instant in seconds, kept for display and
+// for journals written before TimeNS existed: past about 10^7 s a
+// float64 can no longer name every nanosecond, so stepping to TimeS
+// can land a nanosecond off the live run.
 type Record struct {
-	Seq   int64   `json:"seq"`
-	TimeS float64 `json:"time_s"`
-	Kind  Kind    `json:"kind"`
+	Seq    int64   `json:"seq"`
+	TimeS  float64 `json:"time_s"`
+	TimeNS int64   `json:"time_ns,omitempty"`
+	Kind   Kind    `json:"kind"`
 
 	// Submit payload: the wire-form application, including the ID the
 	// server assigned (so replay re-creates the same ID space).
@@ -71,6 +77,20 @@ type Record struct {
 
 	// Set-traffic payload.
 	Weights map[string]int `json:"weights,omitempty"`
+}
+
+// SetTime stamps the record with virtual time t, in both forms.
+func (r *Record) SetTime(t sim.Time) {
+	r.TimeS, r.TimeNS = sim.ToSeconds(t), int64(t)
+}
+
+// Time returns the virtual time the record was applied at: TimeNS when
+// present, else TimeS rounded to the nearest nanosecond.
+func (r Record) Time() sim.Time {
+	if r.TimeNS != 0 {
+		return sim.Time(r.TimeNS)
+	}
+	return sim.Seconds(r.TimeS)
 }
 
 // Validate rejects records that could never replay.
@@ -101,8 +121,8 @@ func (r Record) Validate() error {
 	default:
 		return fmt.Errorf("durable: unknown record kind %q", r.Kind)
 	}
-	if r.TimeS < 0 {
-		return fmt.Errorf("durable: record with negative time %g", r.TimeS)
+	if r.TimeS < 0 || r.TimeNS < 0 {
+		return fmt.Errorf("durable: record with negative time (%g s, %d ns)", r.TimeS, r.TimeNS)
 	}
 	return nil
 }

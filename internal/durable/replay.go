@@ -29,7 +29,7 @@ type ReplayStats struct {
 func Replay(sess *core.Session, recs []Record, onMutate func()) ReplayStats {
 	var stats ReplayStats
 	for _, r := range recs {
-		sess.Step(sim.Seconds(r.TimeS))
+		sess.Step(r.Time())
 		if err := apply(sess, r); err != nil {
 			stats.Failed++
 			stats.Errors = append(stats.Errors, fmt.Sprintf("seq %d (%s): %v", r.Seq, r.Kind, err))

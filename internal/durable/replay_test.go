@@ -12,6 +12,7 @@ import (
 	"meryn/internal/api/server"
 	"meryn/internal/core"
 	"meryn/internal/durable"
+	"meryn/internal/sim"
 )
 
 // bootstrap assembles the full durable control plane the way merynd
@@ -242,5 +243,51 @@ func TestReplayToleratesFailedRecords(t *testing.T) {
 	}
 	if got := sess2.Digest(); got != digest {
 		t.Fatalf("digest = %016x, want %016x", got, digest)
+	}
+}
+
+// TestReplayExactAtLargeClock: once the virtual clock passes about
+// 10^7 s, float64 seconds can no longer name every nanosecond, so a
+// replay that steps to TimeS lands a nanosecond off the live run. Long
+// jobs push the clock there; the replayed digest must still equal the
+// live one.
+func TestReplayExactAtLargeClock(t *testing.T) {
+	dir := t.TempDir()
+	live := boot(t, dir, 16)
+	for i := 0; i < 80; i++ {
+		var st api.AppStatus
+		live.post(t, "/v1/apps", api.App{Type: "batch", VMs: 1, WorkS: 200000}, &st)
+		live.post(t, "/v1/apps/"+st.ID+"/accept", map[string]int{"offer_index": 0}, nil)
+	}
+	digest := live.sess.Digest()
+	live.ts.Close()
+	live.store.Close()
+
+	store2, err := durable.Open(dir, durable.Meta{Seed: 1, Policy: "meryn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	recs := store2.Records()
+	inexact := 0
+	for _, r := range recs {
+		if r.TimeNS == 0 && r.TimeS != 0 {
+			t.Fatalf("seq %d journaled without integer nanoseconds", r.Seq)
+		}
+		if sim.Seconds(r.TimeS) != r.Time() {
+			inexact++
+		}
+	}
+	if inexact == 0 {
+		t.Fatalf("no record's TimeS is off its TimeNS (clock %d ns): the test no longer exercises the float64 hazard", live.sess.Now())
+	}
+	p2, _ := core.NewPlatform(core.Config{Seed: 1})
+	sess2, _ := p2.Open()
+	if stats := durable.Replay(sess2, recs, func() { sess2.RunToSettle() }); stats.Failed != 0 {
+		t.Fatalf("replay stats = %+v", stats)
+	}
+	if got := sess2.Digest(); got != digest {
+		t.Fatalf("digest after replay = %016x, want %016x (live clock %d ns, replayed %d ns)",
+			got, digest, live.sess.Now(), sess2.Now())
 	}
 }

@@ -29,6 +29,10 @@ const (
 	StateStopping
 	StateTerminated
 	StateCrashed
+
+	// NumStates is the number of lifecycle states; Audit's recount is
+	// an array of this length indexed by State.
+	NumStates = int(StateCrashed) + 1
 )
 
 // String implements fmt.Stringer.
@@ -131,8 +135,8 @@ type Manager struct {
 	rng    *sim.RNG
 	images map[string]bool
 	vms    map[string]*VM
-	nextID int
-	active int // provisioning + running + stopping
+	order  []*VM // every VM ever created, in creation order (index = ID number)
+	active int   // provisioning + running + stopping
 
 	// UsedGauge tracks VMs that are provisioning or running.
 	UsedGauge *metrics.Gauge
@@ -201,23 +205,13 @@ func (m *Manager) Get(id string) (*VM, error) {
 	return vm, nil
 }
 
-// List returns all VMs in a given state.
+// List returns all VMs in a given state, in creation order.
 func (m *Manager) List(s State) []*VM {
 	var out []*VM
-	for i := 0; i < m.nextID; i++ {
-		id := m.vmID(i)
-		if vm, ok := m.vms[id]; ok && vm.State == s {
+	for _, vm := range m.order {
+		if vm.State == s {
 			out = append(out, vm)
 		}
-	}
-	return out
-}
-
-// StateCounts returns how many tracked VMs are in each lifecycle state.
-func (m *Manager) StateCounts() map[State]int {
-	out := make(map[State]int)
-	for _, vm := range m.vms {
-		out[vm.State]++
 	}
 	return out
 }
@@ -225,22 +219,26 @@ func (m *Manager) StateCounts() map[State]int {
 // Audit checks the manager's internal conservation invariants: the
 // active count equals the recount of provisioning+running+stopping VMs,
 // stays within [0, Capacity], and agrees with UsedGauge. It returns the
+// recount of every VM ever created by state (indexed by State) and the
 // first violation found, or nil. The platform Auditor calls this at
-// every audit barrier.
-func (m *Manager) Audit() error {
-	counts := m.StateCounts()
+// every audit barrier; the walk is one pass over the creation-order
+// slice and allocates nothing.
+func (m *Manager) Audit() (counts [NumStates]int, err error) {
+	for _, vm := range m.order {
+		counts[vm.State]++
+	}
 	live := counts[StateProvisioning] + counts[StateRunning] + counts[StateStopping]
 	if live != m.active {
-		return fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
+		return counts, fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
 			m.active, live, counts[StateProvisioning], counts[StateRunning], counts[StateStopping])
 	}
 	if m.active < 0 || m.active > m.cfg.MaxVMs {
-		return fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
+		return counts, fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
 	}
 	if g := m.UsedGauge.Value(); g != m.active {
-		return fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
+		return counts, fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
 	}
-	return nil
+	return counts, nil
 }
 
 func (m *Manager) vmID(i int) string {
@@ -273,7 +271,7 @@ func (m *Manager) Start(image string, done func(*VM, error)) {
 		return
 	}
 	vm := &VM{
-		ID:          m.vmID(m.nextID),
+		ID:          m.vmID(len(m.order)),
 		Image:       image,
 		Shape:       m.cfg.Shape,
 		State:       StateProvisioning,
@@ -281,8 +279,8 @@ func (m *Manager) Start(image string, done func(*VM, error)) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.nextID++
 	m.vms[vm.ID] = vm
+	m.order = append(m.order, vm)
 	m.active++
 	m.UsedGauge.Add(m.eng.Now(), 1)
 
@@ -317,7 +315,7 @@ func (m *Manager) StartDeployed(image string) (*VM, error) {
 		return nil, err
 	}
 	vm := &VM{
-		ID:          m.vmID(m.nextID),
+		ID:          m.vmID(len(m.order)),
 		Image:       image,
 		Shape:       m.cfg.Shape,
 		State:       StateRunning,
@@ -325,8 +323,8 @@ func (m *Manager) StartDeployed(image string) (*VM, error) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.nextID++
 	m.vms[vm.ID] = vm
+	m.order = append(m.order, vm)
 	m.active++
 	m.UsedGauge.Add(m.eng.Now(), 1)
 	m.Starts.Inc()

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +360,78 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lifecycleManager returns a manager holding four VMs, one per
+// reachable state: running, terminated, crashed, and running again.
+func lifecycleManager(t *testing.T) (*Manager, []*VM) {
+	t.Helper()
+	eng := sim.NewEngine()
+	m := newManager(t, eng, Config{})
+	vms := []*VM{
+		mustStart(t, eng, m, "batch"),
+		mustStart(t, eng, m, "batch"),
+		mustStart(t, eng, m, "batch"),
+		mustStart(t, eng, m, "batch"),
+	}
+	m.Stop(vms[1].ID, func(error) {})
+	eng.RunAll()
+	if err := m.Crash(vms[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	return m, vms
+}
+
+// TestAuditRecount: Audit recounts every VM ever created by state, and
+// List walks them in creation order.
+func TestAuditRecount(t *testing.T) {
+	m, vms := lifecycleManager(t)
+	counts, err := m.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [NumStates]int{StateRunning: 2, StateTerminated: 1, StateCrashed: 1}
+	if counts != want {
+		t.Fatalf("recount = %v, want %v", counts, want)
+	}
+	if lst := m.List(StateRunning); len(lst) != 2 || lst[0] != vms[0] || lst[1] != vms[3] {
+		t.Fatalf("List(running) = %v, want VMs 0 and 3 in creation order", lst)
+	}
+}
+
+// TestAuditCorruptionCatalogue corrupts one of the manager's
+// conservation invariants at a time; Audit must name it.
+func TestAuditCorruptionCatalogue(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Manager, vms []*VM)
+		want    string
+	}{
+		{"running VM crashed without release", func(m *Manager, vms []*VM) {
+			vms[0].State = StateCrashed
+		}, "active=2 but state recount=1"},
+		{"terminated VM set running without active++", func(m *Manager, vms []*VM) {
+			vms[1].State = StateRunning
+		}, "active=2 but state recount=3"},
+		{"crashed VM set running without active++", func(m *Manager, vms []*VM) {
+			vms[2].State = StateRunning
+		}, "active=2 but state recount=3"},
+		{"used gauge bumped", func(m *Manager, vms []*VM) {
+			m.UsedGauge.Add(0, 1)
+		}, "used gauge 3 disagrees with active 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, vms := lifecycleManager(t)
+			if _, err := m.Audit(); err != nil {
+				t.Fatalf("clean manager fails audit: %v", err)
+			}
+			tc.corrupt(m, vms)
+			_, err := m.Audit()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Audit = %v, want a violation naming %q", err, tc.want)
+			}
+		})
 	}
 }
