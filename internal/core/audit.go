@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 
 	"meryn/internal/cloud"
 	"meryn/internal/framework"
@@ -88,9 +87,6 @@ type Auditor struct {
 	lastCounters, curCounters []int64
 	lastSpend, curSpend       []float64 // per provider: TotalSpend, SpotSpend
 	lastCost                  []float64
-
-	// nodeIDs is checkCM's reusable buffer for a VC's attached node IDs.
-	nodeIDs []string
 
 	// now and errs are the running audit's clock and the violations it
 	// has found so far.
@@ -329,53 +325,59 @@ func (a *Auditor) fail(format string, args ...any) {
 	a.errs = append(a.errs, fmt.Errorf("audit[t=%s]: "+format, append([]any{a.now}, args...)...))
 }
 
-// checkCM audits one VC: node conservation between the framework, the
-// CM lease table and OwnedPrivate; index recounts via
-// framework.Inspector; and lease-table/ResourceManager agreement for
-// every attached node.
+// checkCM audits one VC: agreement of the CM's node list with its
+// lease table; node conservation between the framework, the CM lease
+// table and OwnedPrivate; index recounts via framework.Inspector; and
+// lease-table/ResourceManager agreement for every attached node. Nodes
+// are walked once, in nodeList order, so per-node violations come in
+// that (deterministic) order.
 func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
-	attached, cloudAttached := len(cm.nodes), 0
-	ids := a.nodeIDs[:0]
-	for id, info := range cm.nodes {
-		ids = append(ids, id)
+	if len(cm.nodeList) != len(cm.nodes) {
+		a.fail("%s: node list holds %d nodes but CM lease table has %d", name, len(cm.nodeList), len(cm.nodes))
+	}
+	insp, inspect := cm.fw.(framework.Inspector)
+	cloudAttached, idleDisabled := 0, 0
+	var freeKind [2]int
+	for i, info := range cm.nodeList {
+		id := info.id
+		if cm.nodes[id] != info {
+			a.fail("%s: node %s in node list but not in CM lease table", name, id)
+		}
+		if info.pos != i {
+			a.fail("%s: node %s at node list position %d records position %d", name, id, i, info.pos)
+		}
 		if info.cloud {
 			cloudAttached++
 		}
-	}
-	sort.Strings(ids)
-	a.nodeIDs = ids
-
-	if n := cm.fw.NumNodes(); n != attached {
-		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, attached)
-	}
-	if own := attached - cloudAttached; cm.OwnedPrivate != own {
-		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
-	}
-
-	if insp, ok := cm.fw.(framework.Inspector); ok {
-		var freeKind [2]int
-		idleDisabled := 0
-		for _, id := range ids {
-			st, ok := insp.InspectNode(id)
-			if !ok {
+		if inspect {
+			if st, ok := insp.InspectNode(id); !ok {
 				a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
-				continue
-			}
-			if st.Cloud != cm.nodes[id].cloud {
-				a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
-			}
-			if st.Busy {
-				continue
-			}
-			if st.Disabled {
-				idleDisabled++
-			} else if st.Cloud {
-				freeKind[1]++
 			} else {
-				freeKind[0]++
+				if st.Cloud != info.cloud {
+					a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, info.cloud)
+				}
+				switch {
+				case st.Busy:
+				case st.Disabled:
+					idleDisabled++
+				case st.Cloud:
+					freeKind[1]++
+				default:
+					freeKind[0]++
+				}
 			}
 		}
+		a.checkLease(cm, info)
+	}
+
+	if n := cm.fw.NumNodes(); n != len(cm.nodes) {
+		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, len(cm.nodes))
+	}
+	if own := len(cm.nodeList) - cloudAttached; cm.OwnedPrivate != own {
+		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
+	}
+	if inspect {
 		for k, cloudKind := range []bool{false, true} {
 			if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
 				a.fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
@@ -388,35 +390,38 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 		cm.fw.VisitFreeNodes(false, a.freeVisit)
 		cm.fw.VisitFreeNodes(true, a.freeVisit)
 	}
+}
 
-	for _, id := range ids {
-		info := cm.nodes[id]
-		if !info.cloud {
-			vm, err := cm.p.VMM.Get(id)
-			if err != nil {
-				a.fail("%s: attached private node %s unknown to VMM", name, id)
-				continue
-			}
-			if vm.State != vmm.StateRunning {
-				a.fail("%s: attached private node %s is %v", name, id, vm.State)
-			}
-			continue
+// checkLease verifies one attached node against the ResourceManager: a
+// private node is a running VM; a cloud node has a running lease at its
+// provider, billed at the price locked at launch.
+func (a *Auditor) checkLease(cm *ClusterManager, info *nodeInfo) {
+	name, id := cm.name, info.id
+	if !info.cloud {
+		vm, err := cm.p.VMM.Get(id)
+		if err != nil {
+			a.fail("%s: attached private node %s unknown to VMM", name, id)
+			return
 		}
-		if info.provider == nil {
-			a.fail("%s: attached cloud node %s has no provider", name, id)
-			continue
+		if vm.State != vmm.StateRunning {
+			a.fail("%s: attached private node %s is %v", name, id, vm.State)
 		}
-		inst, ok := info.provider.Lease(info.instID)
-		if !ok {
-			a.fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
-			continue
-		}
-		if inst.State != cloud.InstanceRunning {
-			a.fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
-		}
-		if inst.PriceAtLaunch != info.rate {
-			a.fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
-		}
+		return
+	}
+	if info.provider == nil {
+		a.fail("%s: attached cloud node %s has no provider", name, id)
+		return
+	}
+	inst, ok := info.provider.Lease(info.instID)
+	if !ok {
+		a.fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
+		return
+	}
+	if inst.State != cloud.InstanceRunning {
+		a.fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
+	}
+	if inst.PriceAtLaunch != info.rate {
+		a.fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
 	}
 }
 

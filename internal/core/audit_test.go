@@ -201,6 +201,20 @@ func TestAuditorCorruptionCatalogue(t *testing.T) {
 			}
 			rec.Cost /= 2
 		}, "app a1: cost decreased"},
+		{"node dropped from lease table but left in node list", func(t *testing.T, p *Platform) {
+			cm, _ := p.CM("vc1")
+			if len(cm.nodeList) == 0 {
+				t.Fatal("no attached node")
+			}
+			delete(cm.nodes, cm.nodeList[0].id)
+		}, "in node list but not in CM lease table"},
+		{"node in lease table but missing from node list", func(t *testing.T, p *Platform) {
+			cm, _ := p.CM("vc1")
+			if len(cm.nodeList) == 0 {
+				t.Fatal("no attached node")
+			}
+			cm.nodeList = cm.nodeList[:len(cm.nodeList)-1]
+		}, "node list holds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,7 +236,7 @@ func TestAuditorCorruptionCatalogue(t *testing.T) {
 // history reuses the auditor's buffers instead of allocating per app.
 func TestAuditNowAllocsFlatInHistory(t *testing.T) {
 	allocs := func(n int) float64 {
-		p := settledPlatform(t, n)
+		p := settledPlatform(t, n, 10)
 		for i := 0; i < 2; i++ { // size the snapshot buffers
 			if err := p.AuditNow(); err != nil {
 				t.Fatal(err)

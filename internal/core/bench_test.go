@@ -99,15 +99,22 @@ func BenchmarkPlatformRunAuditOn(b *testing.B)  { benchAuditRun(b, false) }
 func BenchmarkPlatformRunAuditOff(b *testing.B) { benchAuditRun(b, true) }
 
 // settledPlatform runs n short batch apps, staggered a minute apart,
-// through a 10-VM VC under the default auditor and returns the drained
-// platform: a long admission history with nothing left running.
-func settledPlatform(tb testing.TB, n int) *Platform {
+// through a VC of vms VMs under the default auditor and returns the
+// drained platform: a long admission history with nothing left running.
+// The private site grows to host the VC when vms exceeds its default
+// capacity.
+func settledPlatform(tb testing.TB, n, vms int) *Platform {
 	tb.Helper()
 	w := make(workload.Workload, n)
 	for i := range w {
 		w[i] = batchApp(fmt.Sprintf("app-%d", i), "vc1", float64(60*i), 300)
 	}
-	p, err := NewPlatform(onevcConfig(10))
+	cfg := onevcConfig(vms)
+	if vms > cfg.PrivateVMCap {
+		cfg.PrivateVMCap = vms
+		cfg.Site.Nodes = (vms + 5) / 6 // six default-shape VMs per node
+	}
+	p, err := NewPlatform(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -121,12 +128,20 @@ func settledPlatform(tb testing.TB, n int) *Platform {
 }
 
 // BenchmarkAuditNow measures one audit of a drained platform after 100,
-// 1,000 and 10,000 settled apps (recorded in BENCH_chaos.json): the
-// cost every audit pays for the admission history it walks.
+// 1,000 and 10,000 settled apps on a 10-VM VC, and after 1,000 on a
+// 100-VM VC (recorded in BENCH_chaos.json): the cost every audit pays
+// for the admission history and the attached nodes it walks.
 func BenchmarkAuditNow(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("settled=%d", n), func(b *testing.B) {
-			p := settledPlatform(b, n)
+	for _, c := range []struct{ settled, vms int }{{100, 10}, {1000, 10}, {10000, 10}, {1000, 100}} {
+		name := fmt.Sprintf("settled=%d", c.settled)
+		if c.vms != 10 {
+			name += fmt.Sprintf("/nodes=%d", c.vms)
+		}
+		b.Run(name, func(b *testing.B) {
+			p := settledPlatform(b, c.settled, c.vms)
+			if cm, _ := p.CM("vc1"); len(cm.nodes) != c.vms {
+				b.Fatalf("vc1 holds %d nodes, want %d", len(cm.nodes), c.vms)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

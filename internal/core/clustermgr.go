@@ -19,6 +19,8 @@ import (
 
 // nodeInfo is the Cluster Manager's view of one attached node.
 type nodeInfo struct {
+	id       string
+	pos      int // index in the CM's nodeList
 	cloud    bool
 	rate     float64 // provider-side cost, units per VM-second
 	provider *cloud.Provider
@@ -111,7 +113,11 @@ type ClusterManager struct {
 	// 1 and 2.
 	avail int
 	nodes map[string]*nodeInfo
-	apps  map[string]*appState
+	// nodeList holds the values of nodes, in attach order until a
+	// detach swaps the last entry into the freed slot (see dropNode), so
+	// the auditor walks attached nodes without a sort or a map.
+	nodeList []*nodeInfo
+	apps     map[string]*appState
 	// admitted lists every app in apps, append-only in admission order,
 	// so the auditor walks the whole history without a sort or a map.
 	admitted []*appState
@@ -268,8 +274,7 @@ func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 	if vm, err := cm.p.VMM.Get(id); err != nil || vm.State != vmm.StateRunning {
 		return false
 	}
-	cm.nodes[id] = &nodeInfo{rate: cm.p.cfg.PrivateVMCost}
-	cm.indexNode(id, true)
+	cm.addNode(&nodeInfo{id: id, rate: cm.p.cfg.PrivateVMCost})
 	cm.avail++
 	cm.OwnedPrivate++
 	cm.fw.AddNode(framework.Node{ID: id, SpeedFactor: speed})
@@ -278,10 +283,30 @@ func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 
 // attachCloud joins a leased cloud instance to the framework.
 func (cm *ClusterManager) attachCloud(inst *cloud.Instance, p *cloud.Provider) {
-	cm.nodes[inst.ID] = &nodeInfo{cloud: true, rate: inst.PriceAtLaunch, provider: p, instID: inst.ID}
-	cm.indexNode(inst.ID, true)
+	cm.addNode(&nodeInfo{id: inst.ID, cloud: true, rate: inst.PriceAtLaunch, provider: p, instID: inst.ID})
 	cm.avail++
 	cm.fw.AddNode(framework.Node{ID: inst.ID, SpeedFactor: inst.SpeedFactor, Cloud: true})
+}
+
+// addNode enters a newly attached node into the lease table.
+func (cm *ClusterManager) addNode(info *nodeInfo) {
+	info.pos = len(cm.nodeList)
+	cm.nodeList = append(cm.nodeList, info)
+	cm.nodes[info.id] = info
+	cm.indexNode(info.id, true)
+}
+
+// dropNode removes a detached node from the lease table. The last list
+// entry moves into the freed slot, so a detach costs O(1).
+func (cm *ClusterManager) dropNode(info *nodeInfo) {
+	last := len(cm.nodeList) - 1
+	moved := cm.nodeList[last]
+	cm.nodeList[info.pos] = moved
+	moved.pos = info.pos
+	cm.nodeList[last] = nil
+	cm.nodeList = cm.nodeList[:last]
+	delete(cm.nodes, info.id)
+	cm.indexNode(info.id, false)
 }
 
 // detachFreeNodes removes up to n idle nodes of the requested kind
@@ -311,8 +336,7 @@ func (cm *ClusterManager) detachFreeNodes(n int, wantCloud bool) ([]string, []*n
 			cm.OwnedPrivate--
 		}
 		infos = append(infos, info)
-		delete(cm.nodes, id)
-		cm.indexNode(id, false)
+		cm.dropNode(info)
 	}
 	return picked, infos
 }
@@ -732,8 +756,7 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 	if err := cm.fw.FailNode(id); err != nil {
 		panic(fmt.Sprintf("core: failing crashed node %s: %v", id, err))
 	}
-	delete(cm.nodes, id)
-	cm.indexNode(id, false)
+	cm.dropNode(info)
 	cm.OwnedPrivate--
 	cm.avail-- // attached count dropped; commitments stand
 
@@ -782,8 +805,7 @@ func (cm *ClusterManager) handleCloudLoss(id string, settleLease bool) {
 	if err := cm.fw.FailNode(id); err != nil {
 		panic(fmt.Sprintf("core: failing cloud node %s: %v", id, err))
 	}
-	delete(cm.nodes, id)
-	cm.indexNode(id, false)
+	cm.dropNode(info)
 	cm.avail-- // attached count dropped; commitments stand
 	if settleLease && info.provider != nil {
 		cm.runGlobal(func() { cm.p.RM.Release(info.provider, info.instID) })

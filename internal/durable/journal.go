@@ -87,6 +87,12 @@ func readJournal(path string) (recs []Record, clean int64, torn bool, err error)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	return parseJournal(path, data)
+}
+
+// parseJournal is readJournal over journal bytes already in memory;
+// name labels corruption errors.
+func parseJournal(name string, data []byte) (recs []Record, clean int64, torn bool, err error) {
 	off := int64(0)
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
@@ -106,7 +112,7 @@ func readJournal(path string) (recs []Record, clean int64, torn bool, err error)
 				rest = nil
 			}
 			if complete && len(rest) > 0 {
-				return nil, 0, false, fmt.Errorf("durable: journal %s corrupt at offset %d: %v", path, off, perr)
+				return nil, 0, false, fmt.Errorf("durable: journal %s corrupt at offset %d: %v", name, off, perr)
 			}
 			return recs, off, true, nil
 		}

@@ -188,6 +188,9 @@ type Serverless struct {
 
 	running framework.SeqSet[*framework.Job]
 	states  framework.SeqSet[*fnState]
+	// suspended holds suspended functions in submission order; Suspend
+	// and Resume are the only ways into and out of JobSuspended.
+	suspended framework.SeqSet[*fnState]
 
 	unsettled int
 	tick      *sim.Timer
@@ -409,6 +412,7 @@ func (s *Serverless) Suspend(id string) error {
 	j.Suspensions++
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)
+	s.suspended.Insert(st.seq, st)
 	if s.cfg.Events.OnSuspend != nil {
 		s.cfg.Events.OnSuspend(j)
 	}
@@ -429,6 +433,7 @@ func (s *Serverless) Resume(id string) error {
 		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
 	}
 	j.State = framework.JobQueued
+	s.suspended.Remove(st.seq)
 	st.target = 0
 	s.queue.PushFront(id)
 	if s.cfg.Events.OnResume != nil {
@@ -809,9 +814,8 @@ func (s *Serverless) onTick() {
 	for _, st := range s.states.Values() {
 		s.stepFn(st, now, tickS)
 	}
-	// Suspended functions: down; ticks with offered demand burn. Only
-	// counters advance, so the map-order scan cannot leak into results.
-	for _, st := range s.jobs {
+	// Suspended functions: down; ticks with offered demand burn.
+	for _, st := range s.suspended.Values() {
 		if st.job.State == framework.JobSuspended && offeredRate(st.job, now) > 0 {
 			st.intervals++
 			st.burned++

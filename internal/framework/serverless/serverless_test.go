@@ -10,7 +10,7 @@ import (
 	"meryn/internal/sim"
 )
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
@@ -562,5 +562,173 @@ func TestRunningListSubmissionOrder(t *testing.T) {
 			ids[i] = j.ID
 		}
 		t.Fatalf("Running() = %v, want submission order [fn-2 fn-10 fn-1]", ids)
+	}
+}
+
+// TestSuspendedFunctionBurnsOnlyWithDemand: a suspended function burns
+// one interval on each tick with offered demand and none on idle ticks;
+// after Resume it no longer burns as suspended.
+func TestSuspendedFunctionBurnsOnlyWithDemand(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, Config{Tick: sim.Seconds(10)})
+	addNodes(s, 2, 1.0)
+	// No target: running ticks count intervals but never burn, so every
+	// burn below is a suspended one.
+	j := fn("f", 2, 10, 1000, 0, 0)
+	j.Rate = func(t sim.Time) float64 {
+		if s := sim.ToSeconds(t); (s >= 60 && s < 120) || (s >= 200 && s < 260) {
+			return 5
+		}
+		return 0
+	}
+	must(t, s.Submit(j))
+	eng.Run(sim.Seconds(35))
+	if st := stats(t, s, "f"); st.Intervals != 0 || st.Burned != 0 {
+		t.Fatalf("idle running function: intervals=%d burned=%d, want 0/0", st.Intervals, st.Burned)
+	}
+
+	must(t, s.Suspend("f"))
+	eng.Run(sim.Seconds(155)) // ticks 40..150; demand at 60..110
+	if st := stats(t, s, "f"); st.Intervals != 6 || st.Burned != 6 {
+		t.Fatalf("suspended: intervals=%d burned=%d, want 6/6 (demand ticks only)", st.Intervals, st.Burned)
+	}
+
+	must(t, s.Resume("f"))
+	eng.Run(sim.Seconds(305)) // ticks 160..300; demand at 200..250
+	if st := stats(t, s, "f"); st.Intervals != 12 || st.Burned != 6 {
+		t.Fatalf("resumed: intervals=%d burned=%d, want 12/6 (no burn once running)", st.Intervals, st.Burned)
+	}
+}
+
+// TestSLOCountersMatchRecount: after hundreds of settled functions and
+// a few suspend/resume cycles, every function's Intervals/Burned equal
+// a brute-force recount. The recount is an observer that ticks at the
+// framework's instants, just before it, and scans every submitted
+// function: a suspended one burns on ticks with offered demand; a
+// running one counts an interval on ticks with demand (arrivals or an
+// activation backlog) and, with its near-zero target, burns on each.
+func TestSLOCountersMatchRecount(t *testing.T) {
+	const n = 300
+	const tickS = 10.0
+	eng := sim.NewEngine()
+	var (
+		s       *Serverless
+		jobs    []*framework.Job
+		want    = map[string][2]int{}
+		seen    = map[framework.JobState]int{}
+		recount *sim.Timer
+	)
+	// Registered before the framework's ticker: at every tick instant it
+	// fires first and sees exactly the state the tick accounts.
+	recount = eng.Every(sim.Seconds(tickS), func() {
+		now, live := eng.Now(), 0
+		for _, j := range jobs {
+			if j.State == framework.JobDone {
+				continue
+			}
+			live++
+			seen[j.State]++
+			w := want[j.ID]
+			switch j.State {
+			case framework.JobSuspended:
+				if offeredRate(j, now) > 0 {
+					w[0]++
+					w[1]++
+				}
+			case framework.JobRunning:
+				if offeredRate(j, now)*tickS+s.jobs[j.ID].queue > 0 {
+					w[0]++
+					if j.TargetP95 > 0 {
+						w[1]++
+					}
+				}
+			}
+			want[j.ID] = w
+		}
+		if live == 0 && len(jobs) == n+1 {
+			recount.Cancel()
+		}
+	})
+	s = New(eng, Config{Tick: sim.Seconds(tickS)})
+	addNodes(s, 6, 1.0)
+	submit := func(j *framework.Job) {
+		jobs = append(jobs, j)
+		must(t, s.Submit(j))
+	}
+	// The anchor outlives the workload, so the ticker never stops early.
+	submit(fn("anchor", 1, 10, 5000, 0, 0))
+	for i := 0; i < n; i++ {
+		// Demand comes in 50 s windows, phase-shifted per function;
+		// every fourth function overloads its two instances.
+		offered, phase := 5.0, float64(10*(i%5))
+		if i%4 == 0 {
+			offered = 40
+		}
+		j := fn(fmt.Sprintf("f%03d", i), 2, 10, float64(20+10*(i%3)), float64(5*(i%2)), 0)
+		j.Rate = func(t sim.Time) float64 {
+			if int(sim.ToSeconds(t)+phase)/50%2 == 0 {
+				return offered
+			}
+			return 0
+		}
+		if i%2 == 0 {
+			j.TargetP95 = 1e-9 // any evaluated interval burns
+		}
+		// Submissions, suspensions and resumptions fall between ticks.
+		eng.At(sim.Seconds(float64(10*i+3)), func() { submit(j) })
+	}
+	for _, at := range []float64{507, 1207, 1907, 2607} {
+		eng.At(sim.Seconds(at), func() {
+			for _, j := range s.Running() {
+				if j.ID == "anchor" {
+					continue
+				}
+				id := j.ID
+				must(t, s.Suspend(id))
+				eng.At(eng.Now()+sim.Seconds(40), func() { must(t, s.Resume(id)) })
+				return
+			}
+			t.Fatal("no running function to suspend")
+		})
+	}
+	eng.RunAll()
+
+	if seen[framework.JobSuspended] == 0 {
+		t.Fatal("recount saw no suspended function-ticks")
+	}
+	for _, j := range jobs {
+		if j.State != framework.JobDone {
+			t.Fatalf("%s is %v after the run, want done", j.ID, j.State)
+		}
+		st := stats(t, s, j.ID)
+		if w := want[j.ID]; st.Intervals != w[0] || st.Burned != w[1] {
+			t.Fatalf("%s: intervals=%d burned=%d, recount %d/%d", j.ID, st.Intervals, st.Burned, w[0], w[1])
+		}
+	}
+}
+
+// BenchmarkServerlessTick measures one evaluation tick with one running
+// and one suspended function, both under demand, after 10 and 1,000
+// functions have settled. A tick walks only the live functions, so its
+// cost must not grow with the settled history.
+func BenchmarkServerlessTick(b *testing.B) {
+	for _, settled := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("settled=%d", settled), func(b *testing.B) {
+			eng := sim.NewEngine()
+			s := New(eng, Config{Tick: sim.Seconds(10)})
+			addNodes(s, 4, 1.0)
+			for i := 0; i < settled; i++ {
+				must(b, s.Submit(fn(fmt.Sprintf("old-%d", i), 1, 10, 5, 0, 1)))
+			}
+			eng.RunAll()
+			must(b, s.Submit(fn("run", 2, 10, 1e6, 0, 5)))
+			must(b, s.Submit(fn("susp", 2, 10, 1e6, 0, 5)))
+			must(b, s.Suspend("susp"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.onTick()
+			}
+		})
 	}
 }

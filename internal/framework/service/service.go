@@ -127,6 +127,9 @@ type Service struct {
 	// contract); states mirrors it with the framework bookkeeping.
 	running framework.SeqSet[*framework.Job]
 	states  framework.SeqSet[*svcState]
+	// suspended holds suspended services in submission order; Suspend
+	// and Resume are the only ways into and out of JobSuspended.
+	suspended framework.SeqSet[*svcState]
 
 	// unsettled counts services not yet done: the ticker runs while any
 	// exist (queued and suspended services burn SLO intervals too).
@@ -343,6 +346,7 @@ func (s *Service) Suspend(id string) error {
 	j.Suspensions++
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)
+	s.suspended.Insert(st.seq, st)
 	if s.cfg.Events.OnSuspend != nil {
 		s.cfg.Events.OnSuspend(j)
 	}
@@ -362,6 +366,7 @@ func (s *Service) Resume(id string) error {
 		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
 	}
 	j.State = framework.JobQueued
+	s.suspended.Remove(st.seq)
 	st.target = j.VMs
 	s.queue.PushFront(id)
 	if s.cfg.Events.OnResume != nil {
@@ -619,8 +624,9 @@ func (s *Service) ensureTicker() {
 
 // onTick advances SLO accounting for every unsettled service: running
 // services evaluate the latency model, queued and suspended services
-// burn outright (they are down). Iteration is submission-ordered over
-// the full job table, so accounting is deterministic.
+// burn outright (they are down). Each group is a maintained
+// submission-ordered set, so a tick costs running + queued + suspended
+// services, not every service ever submitted.
 func (s *Service) onTick() {
 	if s.unsettled == 0 {
 		s.tick.Cancel()
@@ -643,10 +649,8 @@ func (s *Service) onTick() {
 		st.intervals++
 		st.burned++
 	}
-	// Suspended services: down too. Rare (the protocol shrinks services
-	// instead of suspending them), so a job-table scan is acceptable —
-	// only counters advance, so map order cannot leak into results.
-	for _, st := range s.jobs {
+	// Suspended services: down too.
+	for _, st := range s.suspended.Values() {
 		if st.job.State == framework.JobSuspended {
 			st.intervals++
 			st.burned++

@@ -10,7 +10,7 @@ import (
 	"meryn/internal/sim"
 )
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
@@ -430,5 +430,166 @@ func TestRunningListSubmissionOrder(t *testing.T) {
 			ids[i] = j.ID
 		}
 		t.Fatalf("Running() = %v, want submission order [app-2 app-10 app-1]", ids)
+	}
+}
+
+// TestSuspendedServiceBurnsEachTick: a suspended service is down, so it
+// burns exactly one interval per tick; once resumed and running clean
+// it stops burning.
+func TestSuspendedServiceBurnsEachTick(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, Config{Tick: sim.Seconds(10)})
+	addNodes(s, 2, 1.0)
+	// 2 replicas x 10 req/s, offered 5 => p95 = 0.4 s: clean against 1 s.
+	j := svc("web", 2, 10, 1000, 5)
+	j.TargetP95 = 1.0
+	must(t, s.Submit(j))
+	eng.Run(sim.Seconds(35))
+	st0, err := s.ServiceStats("web")
+	must(t, err)
+	if st0.Intervals != 3 || st0.Burned != 0 {
+		t.Fatalf("running: intervals=%d burned=%d, want 3/0", st0.Intervals, st0.Burned)
+	}
+
+	must(t, s.Suspend("web"))
+	eng.Run(sim.Seconds(95)) // ticks at 40..90
+	st1, err := s.ServiceStats("web")
+	must(t, err)
+	if di, db := st1.Intervals-st0.Intervals, st1.Burned-st0.Burned; di != 6 || db != 6 {
+		t.Fatalf("suspended over 6 ticks: +%d intervals +%d burned, want +6/+6", di, db)
+	}
+
+	must(t, s.Resume("web"))
+	if j.State != framework.JobRunning {
+		t.Fatalf("resumed service is %v, want running on the freed nodes", j.State)
+	}
+	eng.Run(sim.Seconds(155)) // ticks at 100..150
+	st2, err := s.ServiceStats("web")
+	must(t, err)
+	if di, db := st2.Intervals-st1.Intervals, st2.Burned-st1.Burned; di != 6 || db != 0 {
+		t.Fatalf("resumed over 6 ticks: +%d intervals +%d burned, want +6/+0", di, db)
+	}
+}
+
+// TestSLOCountersMatchRecount: after hundreds of settled services and a
+// few suspend/resume cycles, every service's Intervals/Burned equal a
+// brute-force recount. The recount is an observer that ticks at the
+// framework's instants, just before it, scans every submitted service
+// and applies the burn rule to its state: queued and suspended services
+// burn, running services burn only when offered load saturates them.
+func TestSLOCountersMatchRecount(t *testing.T) {
+	const n = 300
+	eng := sim.NewEngine()
+	var (
+		s       *Service
+		jobs    []*framework.Job
+		want    = map[string][2]int{}
+		seen    = map[framework.JobState]int{}
+		recount *sim.Timer
+	)
+	// Registered before the framework's ticker: at every tick instant it
+	// fires first and sees exactly the state the tick accounts.
+	recount = eng.Every(sim.Seconds(10), func() {
+		live := 0
+		for _, j := range jobs {
+			if j.State == framework.JobDone {
+				continue
+			}
+			live++
+			seen[j.State]++
+			w := want[j.ID]
+			w[0]++
+			switch j.State {
+			case framework.JobQueued, framework.JobSuspended:
+				w[1]++
+			case framework.JobRunning:
+				if j.TargetP95 > 0 && offeredRate(j, eng.Now()) >= float64(j.VMs)*j.SvcRate {
+					w[1]++
+				}
+			}
+			want[j.ID] = w
+		}
+		if live == 0 && len(jobs) == n+1 {
+			recount.Cancel()
+		}
+	})
+	s = New(eng, Config{Tick: sim.Seconds(10)})
+	addNodes(s, 5, 1.0)
+	submit := func(j *framework.Job) {
+		jobs = append(jobs, j)
+		must(t, s.Submit(j))
+	}
+	// The anchor outlives the workload, so the ticker never stops early.
+	submit(svc("anchor", 1, 10, 5000, 1))
+	for i := 0; i < n; i++ {
+		replicas := 1
+		if i%5 == 0 {
+			replicas = 2
+		}
+		offered, target := 1.0, float64(i%2) // clean; half carry a target
+		if i%4 == 0 {
+			offered, target = float64(replicas)*10+5, 1.0 // saturated
+		}
+		j := svc(fmt.Sprintf("s%03d", i), replicas, 10, float64(20+10*(i%3)), offered)
+		j.TargetP95 = target
+		// Submissions, suspensions and resumptions fall between ticks.
+		eng.At(sim.Seconds(float64(10*i+3)), func() { submit(j) })
+	}
+	for _, at := range []float64{507, 1207, 1907, 2607} {
+		eng.At(sim.Seconds(at), func() {
+			for _, j := range s.Running() {
+				if j.ID == "anchor" {
+					continue
+				}
+				id := j.ID
+				must(t, s.Suspend(id))
+				eng.At(eng.Now()+sim.Seconds(40), func() { must(t, s.Resume(id)) })
+				return
+			}
+			t.Fatal("no running service to suspend")
+		})
+	}
+	eng.RunAll()
+
+	if seen[framework.JobSuspended] == 0 || seen[framework.JobQueued] == 0 {
+		t.Fatalf("recount saw %d suspended and %d queued service-ticks, want both > 0",
+			seen[framework.JobSuspended], seen[framework.JobQueued])
+	}
+	for _, j := range jobs {
+		if j.State != framework.JobDone {
+			t.Fatalf("%s is %v after the run, want done", j.ID, j.State)
+		}
+		st, err := s.ServiceStats(j.ID)
+		must(t, err)
+		if w := want[j.ID]; st.Intervals != w[0] || st.Burned != w[1] {
+			t.Fatalf("%s: intervals=%d burned=%d, recount %d/%d", j.ID, st.Intervals, st.Burned, w[0], w[1])
+		}
+	}
+}
+
+// BenchmarkServiceTick measures one SLO tick with one running, one
+// queued and one suspended service, after 10 and 1,000 services have
+// settled. A tick walks only the live services, so its cost must not
+// grow with the settled history.
+func BenchmarkServiceTick(b *testing.B) {
+	for _, settled := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("settled=%d", settled), func(b *testing.B) {
+			eng := sim.NewEngine()
+			s := New(eng, Config{Tick: sim.Seconds(10)})
+			addNodes(s, 4, 1.0)
+			for i := 0; i < settled; i++ {
+				must(b, s.Submit(svc(fmt.Sprintf("old-%d", i), 1, 10, 5, 1)))
+			}
+			eng.RunAll()
+			must(b, s.Submit(svc("run", 2, 10, 1e6, 5)))
+			must(b, s.Submit(svc("susp", 2, 10, 1e6, 5)))
+			must(b, s.Suspend("susp"))
+			must(b, s.Submit(svc("wait", 4, 10, 1e6, 5)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.onTick()
+			}
+		})
 	}
 }
