@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// smallServicesMatrix is the CI-sized grid: nominal load under bursts,
+// both replica policies, two reps.
+func smallServicesMatrix() ServicesMatrix {
+	return ServicesMatrix{
+		Loads:    []float64{1},
+		Policies: []string{ReplicaPolicyNoop, ReplicaPolicyScaleOut},
+		Bursts:   []float64{2.5},
+		Reps:     2,
+		BaseSeed: 1,
+	}
+}
+
 func TestServicesExperimentRegistered(t *testing.T) {
 	e, ok := Find("services")
 	if !ok {
@@ -52,13 +64,7 @@ func TestServicesJSONWorkerInvariance(t *testing.T) {
 // derived per-run seeds, and the scaleout policy earns its keep under
 // bursty load (attainment at least matches noop).
 func TestServicesGridShape(t *testing.T) {
-	m := ServicesMatrix{
-		Loads:    []float64{1},
-		Policies: []string{ReplicaPolicyNoop, ReplicaPolicyScaleOut},
-		Bursts:   []float64{2.5},
-		Reps:     2,
-		BaseSeed: 1,
-	}
+	m := smallServicesMatrix()
 	runs := m.withDefaults().expand()
 	if len(runs) != 4 {
 		t.Fatalf("runs = %d, want 4", len(runs))
