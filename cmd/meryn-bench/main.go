@@ -129,7 +129,7 @@ func main() {
 			m.BaseSeed = *seed
 		}
 		run(m.Name, "custom matrix sweep", func() (exp.Renderable, error) {
-			return m.Sweep(opt)
+			return m.Run(opt)
 		})
 	case *expName == "all":
 		for _, e := range exp.All() {

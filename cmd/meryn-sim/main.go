@@ -30,10 +30,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"meryn"
 	"meryn/internal/chaos"
-	"meryn/internal/core"
 	"meryn/internal/exp"
 	"meryn/internal/framework/serverless"
 	"meryn/internal/metrics"
@@ -284,14 +284,14 @@ func writeCSV(path string, res *meryn.Results) error {
 	return report.SeriesCSV(f, sim.Seconds(10), res.PrivateSeries, res.CloudSeries)
 }
 
-// printCatalog enumerates the registered experiments and the axes the
-// two sweep grids accept, so valid -sweep values need no source dive.
+// printCatalog enumerates the registered experiments, the keys a -sweep
+// spec accepts, and every grid's axes with their stock values.
 func printCatalog(out io.Writer) {
-	fmt.Fprintln(out, "Experiments (run with meryn-bench -exp <name>, or meryn-sim -sweep/-services):")
+	fmt.Fprintln(out, "Experiments (run with meryn-bench -exp <name>, or meryn-sim -sweep/-services/-serverless/-chaos):")
 	for _, e := range exp.All() {
 		fmt.Fprintf(out, "  %-12s %s\n", e.Name, e.Artifact)
 	}
-	fmt.Fprintln(out, "\nSweep axes (-sweep \"key=v1,v2 ...\"):")
+	fmt.Fprintln(out, "\nSweep spec keys (-sweep \"key=v1,v2 ...\"):")
 	fmt.Fprintln(out, "  policy        meryn | static")
 	fmt.Fprintln(out, "  interarrival  per-stream arrival gap [s] (alias: ia)")
 	fmt.Fprintln(out, "  cluster       total private VMs, split across the two VCs")
@@ -299,23 +299,12 @@ func printCatalog(out io.Writer) {
 	fmt.Fprintln(out, "  reps          seed replications per cell")
 	fmt.Fprintln(out, "  seed          base seed for per-run seed derivation")
 	fmt.Fprintln(out, "  name          label for reports and JSON")
-	fmt.Fprintln(out, "\nServices grid axes (meryn-bench -exp services; single run: meryn-sim -services):")
-	m := exp.DefaultServicesMatrix()
-	fmt.Fprintf(out, "  load   offered-load multipliers     (default %v)\n", m.Loads)
-	fmt.Fprintf(out, "  policy replica policies             (default %v)\n", m.Policies)
-	fmt.Fprintf(out, "  burst  burst amplitude factors      (default %v)\n", m.Bursts)
-	fmt.Fprintf(out, "  reps   seed replications per cell   (default %d)\n", m.Reps)
-	sm := exp.DefaultServerlessMatrix()
-	fmt.Fprintln(out, "\nServerless grid axes (meryn-bench -exp serverless; single run: meryn-sim -serverless):")
-	fmt.Fprintf(out, "  gap    idle gaps between active phases [s]  (default %v)\n", sm.IdleGaps)
-	fmt.Fprintf(out, "  cold   instance boot delays [s]             (default %v)\n", sm.ColdStarts)
-	fmt.Fprintf(out, "  conc   concurrency targets per instance     (default %v)\n", sm.Concs)
-	fmt.Fprintf(out, "  reps   seed replications per cell           (default %d)\n", sm.Reps)
-	cm := exp.DefaultChaosMatrix()
-	fmt.Fprintln(out, "\nChaos grid axes (meryn-bench -exp chaos; single run: meryn-sim -chaos):")
-	fmt.Fprintf(out, "  intensity campaign intensity          (default %v)\n", cm.Intensities)
-	fmt.Fprintf(out, "  policy    cloud lease policy          (default %v)\n", cm.Policies)
-	fmt.Fprintf(out, "  reps      seed replications per cell  (default %d)\n", cm.Reps)
+	for _, g := range []exp.Grid{exp.SweepGrid(), exp.ServicesGrid(), exp.ServerlessGrid(), exp.SpotGrid(), exp.ChaosGrid()} {
+		fmt.Fprintf(out, "\n%s grid axes (meryn-bench -exp %s; %d reps per cell):\n", g.Title, strings.ToLower(g.Title), g.Reps)
+		for _, a := range g.Axes {
+			fmt.Fprintf(out, "  %-15s %s (default %v)\n", a.Key, a.Doc, a.Values)
+		}
+	}
 }
 
 // runServicesDemo executes one cell of the services scenario and prints
@@ -365,18 +354,9 @@ func runServicesDemo(out io.Writer, seed int64, policy string, load, burst float
 // per-function revision table (traffic weights, routed requests, cold
 // starts).
 func runServerlessDemo(out io.Writer, seed int64, gap, cold, conc float64, chart bool, csvOut string) error {
-	var plat *core.Platform
-	s := exp.ServerlessScenario(exp.ServerlessScenarioConfig{
+	res, plat, err := exp.ServerlessScenario(exp.ServerlessScenarioConfig{
 		Seed: seed, IdleGapS: gap, ColdStartS: cold, ConcTarget: conc, Canary: true,
-	})
-	inner := s.Setup
-	s.Setup = func(p *core.Platform) {
-		if inner != nil {
-			inner(p)
-		}
-		plat = p
-	}
-	res, err := s.Run()
+	}).RunWithPlatform()
 	if err != nil {
 		return err
 	}
@@ -387,24 +367,22 @@ func runServerlessDemo(out io.Writer, seed int64, gap, cold, conc float64, chart
 	fnAgg := metrics.AggregateRecords(res.Ledger.ByType(string(workload.TypeServerless)))
 	fmt.Fprintf(out, "scale-to-zero: activations=%d zero-scales=%d cold-starts=%d (%.0f s boot delay charged) served=%.0f metered=%.0f units\n",
 		fnAgg.Activations, fnAgg.ZeroScales, fnAgg.ColdStarts, fnAgg.ColdStartDelayS, fnAgg.Served, fnAgg.Metered)
-	if plat != nil {
-		if cm, ok := plat.CM("fn1"); ok {
-			if fw, ok := cm.Framework().(*serverless.Serverless); ok {
-				fmt.Fprintln(out, "\nrevisions (canary: v2 deployed t=900, split 90/10 t=960, promoted t=1800):")
-				t := report.Table{Headers: []string{"function", "revision", "weight", "requests", "cold starts"}}
-				for _, rec := range res.Ledger.ByType(string(workload.TypeServerless)) {
-					revs, err := fw.Revisions(rec.ID)
-					if err != nil {
-						continue
-					}
-					for _, rv := range revs {
-						t.AddRow(rec.ID, rv.Name, fmt.Sprintf("%d", rv.Weight),
-							fmt.Sprintf("%.0f", rv.Requests), fmt.Sprintf("%d", rv.ColdStarts))
-					}
+	if cm, ok := plat.CM("fn1"); ok {
+		if fw, ok := cm.Framework().(*serverless.Serverless); ok {
+			fmt.Fprintln(out, "\nrevisions (canary: v2 deployed t=900, split 90/10 t=960, promoted t=1800):")
+			t := report.Table{Headers: []string{"function", "revision", "weight", "requests", "cold starts"}}
+			for _, rec := range res.Ledger.ByType(string(workload.TypeServerless)) {
+				revs, err := fw.Revisions(rec.ID)
+				if err != nil {
+					continue
 				}
-				if err := t.Render(out); err != nil {
-					return err
+				for _, rv := range revs {
+					t.AddRow(rec.ID, rv.Name, fmt.Sprintf("%d", rv.Weight),
+						fmt.Sprintf("%.0f", rv.Requests), fmt.Sprintf("%d", rv.ColdStarts))
 				}
+			}
+			if err := t.Render(out); err != nil {
+				return err
 			}
 		}
 	}
@@ -494,7 +472,7 @@ func runSweep(out io.Writer, spec string, seed int64, opt exp.Options, jsonPath 
 	if m.BaseSeed == 0 { // spec's seed= wins over -seed
 		m.BaseSeed = seed
 	}
-	res, err := m.Sweep(opt)
+	res, err := m.Run(opt)
 	if err != nil {
 		return err
 	}

@@ -16,22 +16,20 @@ import (
 )
 
 func main() {
-	m := exp.Matrix{
-		Name:  "example",
-		Loads: []int{35, 50, 65},
-		Reps:  10,
-	}
-	res, err := m.Sweep(exp.Options{}) // one worker per core
+	g := exp.SweepGrid()
+	g.Name = "example"
+	g.Reps = 10
+	res, err := g.Run(exp.Options{}) // one worker per core
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(res.Render())
 
 	// Headline: Meryn's cost saving at the paper's load (50 VC1 apps).
-	cost := map[string]exp.Metric{}
+	cost := map[any]exp.Metric{}
 	for _, c := range res.Cells {
-		if c.Load == 50 {
-			cost[c.Policy] = c.Cost
+		if c.Value("load") == 50 {
+			cost[c.Value("policy")] = c.Metric("cost_units")
 		}
 	}
 	meryn, static := cost["meryn"], cost["static"]

@@ -1,16 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"meryn/internal/chaos"
 	"meryn/internal/cloud"
 	"meryn/internal/core"
-	"meryn/internal/metrics"
-	"meryn/internal/report"
 	"meryn/internal/sim"
 	"meryn/internal/stats"
 	"meryn/internal/workload"
@@ -98,176 +93,44 @@ func ChaosScenario(cfg ChaosScenarioConfig) Scenario {
 	}
 }
 
-// ChaosMatrix declares the chaos grid: campaign intensity x lease
-// policy, replicated Reps times per cell.
-type ChaosMatrix struct {
-	Name        string
-	Intensities []string // campaign intensities (default off, light, heavy)
-	Policies    []string // lease policies (default ondemand, spot)
-	Reps        int      // seed replications per cell (default 3)
-	BaseSeed    int64    // feeds DeriveSeed per run (default 1)
-}
-
-// DefaultChaosMatrix is the stock grid behind `-exp chaos`.
-func DefaultChaosMatrix() ChaosMatrix {
-	return ChaosMatrix{
-		Name:        "chaos",
-		Intensities: []string{ChaosOff, ChaosLight, ChaosHeavy},
-		Policies:    []string{SpotPolicyOnDemand, SpotPolicySpot},
-		Reps:        3,
+// ChaosGrid is the stock grid behind `-exp chaos`: campaign intensity x
+// lease policy, 3 reps per cell. Any invariant violation during any
+// campaign panics the run, so a completed grid is itself the audit pass.
+func ChaosGrid() Grid {
+	return Grid{
+		Name: "chaos", Title: "Chaos", Prefix: "chaos/",
+		About: "fault campaigns under the always-on invariant auditor; intensity x lease policy",
+		Notes: "every run passed the full invariant catalogue at every audit barrier (violations panic);\n" +
+			"crashes = VM crashes absorbed; revocations = attached spot leases preempted; seeds derived per cell+rep",
+		Axes: []Axis{
+			{Key: "intensity", Doc: "campaign intensity", Values: []any{ChaosOff, ChaosLight, ChaosHeavy}},
+			{Key: "policy", Doc: "cloud lease policy", Values: []any{SpotPolicyOnDemand, SpotPolicySpot}},
+		},
+		Reps: 3,
+		Build: func(c Cell, seed int64) Scenario {
+			return ChaosScenario(ChaosScenarioConfig{Seed: seed, Intensity: c[0].(string), Policy: c[1].(string)})
+		},
+		Measures: []Measure{
+			{"penalty_units", penalty},
+			{"deadlines_missed", missed},
+			{"completion_s", completion},
+			{"cloud_spend", cloudSpend},
+			{"node_crashes", func(r *core.Results, _ *core.Platform) float64 {
+				return float64(r.Counters.NodeCrashes.Count)
+			}},
+			{"revocations", revocations},
+			{"audit_checks", func(r *core.Results, _ *core.Platform) float64 { return float64(r.AuditChecks) }},
+		},
+		Columns: []Column{
+			{Header: "intensity", Key: "intensity"},
+			{Header: "policy", Key: "policy"},
+			{Header: "penalty [u]", Key: "penalty_units"},
+			{Header: "missed", Key: "deadlines_missed", Digits: 1, Mean: true},
+			{Header: "completion [s]", Key: "completion_s"},
+			{Header: "spend [u]", Key: "cloud_spend"},
+			{Header: "crashes", Key: "node_crashes", Digits: 1, Mean: true},
+			{Header: "revocations", Key: "revocations", Digits: 1, Mean: true},
+			{Header: "audits", Key: "audit_checks", Mean: true},
+		},
 	}
-}
-
-func (m ChaosMatrix) withDefaults() ChaosMatrix {
-	d := DefaultChaosMatrix()
-	if m.Name == "" {
-		m.Name = d.Name
-	}
-	if len(m.Intensities) == 0 {
-		m.Intensities = d.Intensities
-	}
-	if len(m.Policies) == 0 {
-		m.Policies = d.Policies
-	}
-	if m.Reps <= 0 {
-		m.Reps = d.Reps
-	}
-	if m.BaseSeed == 0 {
-		m.BaseSeed = 1
-	}
-	return m
-}
-
-// chaosRun is one expanded grid replication.
-type chaosRun struct {
-	intensity string
-	policy    string
-	rep       int
-	seed      int64
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m ChaosMatrix) expand() []chaosRun {
-	var runs []chaosRun
-	for _, in := range m.Intensities {
-		for _, p := range m.Policies {
-			cell := fmt.Sprintf("%s/%s", in, p)
-			for rep := 0; rep < m.Reps; rep++ {
-				runs = append(runs, chaosRun{
-					intensity: in, policy: p, rep: rep,
-					seed: DeriveSeed(m.BaseSeed, fmt.Sprintf("chaos/%s/rep=%d", cell, rep)),
-				})
-			}
-		}
-	}
-	return runs
-}
-
-// ChaosCellStats is one aggregated grid cell.
-type ChaosCellStats struct {
-	Intensity string `json:"intensity"`
-	Policy    string `json:"policy"`
-	Reps      int    `json:"reps"`
-
-	Penalty     Metric `json:"penalty_units"`    // SLA penalties refunded
-	Missed      Metric `json:"deadlines_missed"` // SLA deadlines blown
-	Completion  Metric `json:"completion_s"`     // last application end
-	CloudSpend  Metric `json:"cloud_spend"`      // provider-side charges
-	Crashes     Metric `json:"node_crashes"`     // VM crashes absorbed by CMs
-	Revocations Metric `json:"revocations"`      // attached spot leases preempted
-	AuditChecks Metric `json:"audit_checks"`     // invariant audits passed per run
-}
-
-// ChaosResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type ChaosResult struct {
-	Name     string           `json:"name"`
-	BaseSeed int64            `json:"base_seed"`
-	Reps     int              `json:"reps"`
-	Runs     int              `json:"runs"`
-	Cells    []ChaosCellStats `json:"cells"`
-}
-
-// Chaos executes the grid on the worker pool with derived per-run
-// seeds and aggregates per-cell statistics. Any invariant violation
-// during any campaign panics the run — a completed grid is itself the
-// audit pass.
-func (m ChaosMatrix) Chaos(opt Options) (*ChaosResult, error) {
-	m = m.withDefaults()
-	if opt.Reps > 0 {
-		m.Reps = opt.Reps
-	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return ChaosScenario(ChaosScenarioConfig{
-			Seed: r.seed, Policy: r.policy, Intensity: r.intensity,
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: chaos %q: %w", m.Name, err)
-	}
-
-	res := &ChaosResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var pen, missed, completion, spend, crashes, revs, audits stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			agg := metrics.AggregateRecords(run.Ledger.All())
-			pen.Add(agg.TotalPenalty)
-			missed.Add(float64(agg.DeadlinesMissed))
-			completion.Add(run.CompletionTime)
-			spend.Add(run.CloudSpend)
-			crashes.Add(float64(run.Counters.NodeCrashes.Count))
-			revs.Add(float64(run.Counters.SpotRevocations.Count))
-			audits.Add(float64(run.AuditChecks))
-		}
-		res.Cells = append(res.Cells, ChaosCellStats{
-			Intensity: r.intensity, Policy: r.policy, Reps: m.Reps,
-			Penalty:     metricOf(&pen),
-			Missed:      metricOf(&missed),
-			Completion:  metricOf(&completion),
-			CloudSpend:  metricOf(&spend),
-			Crashes:     metricOf(&crashes),
-			Revocations: metricOf(&revs),
-			AuditChecks: metricOf(&audits),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *ChaosResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// Render implements Renderable.
-func (r *ChaosResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos %q: %d cells x %d reps (base seed %d)\n", r.Name, len(r.Cells), r.Reps, r.BaseSeed)
-	b.WriteString("fault campaigns under the always-on invariant auditor; intensity x lease policy\n\n")
-	t := report.Table{Headers: []string{
-		"intensity", "policy", "penalty [u]", "missed", "completion [s]", "spend [u]", "crashes", "revocations", "audits",
-	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
-	for _, c := range r.Cells {
-		t.AddRow(c.Intensity, c.Policy,
-			pm(c.Penalty, 0),
-			fmt.Sprintf("%.1f", c.Missed.Mean),
-			pm(c.Completion, 0),
-			pm(c.CloudSpend, 0),
-			fmt.Sprintf("%.1f", c.Crashes.Mean),
-			fmt.Sprintf("%.1f", c.Revocations.Mean),
-			fmt.Sprintf("%.0f", c.AuditChecks.Mean))
-	}
-	_ = t.Render(&b)
-	b.WriteString("\nevery run passed the full invariant catalogue at every audit barrier (violations panic);\ncrashes = VM crashes absorbed; revocations = attached spot leases preempted; seeds derived per cell+rep\n")
-	return b.String()
 }

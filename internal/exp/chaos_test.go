@@ -11,14 +11,14 @@ import (
 
 // smallChaosMatrix is the CI-sized grid: off vs heavy, spot policy
 // only, two reps.
-func smallChaosMatrix() ChaosMatrix {
-	return ChaosMatrix{
-		Name:        "chaos-smoke",
-		Intensities: []string{ChaosOff, ChaosHeavy},
-		Policies:    []string{SpotPolicySpot},
-		Reps:        2,
-		BaseSeed:    1,
-	}
+func smallChaosMatrix() Grid {
+	g := ChaosGrid()
+	g.Name = "chaos-smoke"
+	g.Set("intensity", ChaosOff, ChaosHeavy)
+	g.Set("policy", SpotPolicySpot)
+	g.Reps = 2
+	g.BaseSeed = 1
+	return g
 }
 
 // TestChaosJSONWorkerInvariance: campaigns and audits draw only from
@@ -26,11 +26,11 @@ func smallChaosMatrix() ChaosMatrix {
 // whatever the worker count.
 func TestChaosJSONWorkerInvariance(t *testing.T) {
 	m := smallChaosMatrix()
-	r1, err := m.Chaos(Options{Workers: 1})
+	r1, err := m.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := m.Chaos(Options{Workers: 4})
+	r4, err := m.Run(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestChaosJSONWorkerInvariance(t *testing.T) {
 // audited, and the heavy campaign actually degrades the platform
 // relative to the fault-free baseline.
 func TestChaosGridShape(t *testing.T) {
-	res, err := smallChaosMatrix().Chaos(Options{})
+	res, err := smallChaosMatrix().Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +59,18 @@ func TestChaosGridShape(t *testing.T) {
 		t.Fatalf("cells = %d runs = %d, want 2/4", len(res.Cells), res.Runs)
 	}
 	off, heavy := res.Cells[0], res.Cells[1]
-	if off.Intensity != ChaosOff || heavy.Intensity != ChaosHeavy {
-		t.Fatalf("cell order: %s/%s", off.Intensity, heavy.Intensity)
+	if off.Value("intensity") != ChaosOff || heavy.Value("intensity") != ChaosHeavy {
+		t.Fatalf("cell order: %s/%s", off.Value("intensity"), heavy.Value("intensity"))
 	}
-	if off.Crashes.Mean != 0 {
-		t.Fatalf("fault-free baseline crashed %g VMs", off.Crashes.Mean)
+	if off.Metric("node_crashes").Mean != 0 {
+		t.Fatalf("fault-free baseline crashed %g VMs", off.Metric("node_crashes").Mean)
 	}
-	if heavy.Crashes.Mean == 0 {
+	if heavy.Metric("node_crashes").Mean == 0 {
 		t.Fatal("heavy campaign crashed nothing")
 	}
 	// Every cell ran under the 10 s audit cadence.
-	if off.AuditChecks.Mean == 0 || heavy.AuditChecks.Mean == 0 {
-		t.Fatalf("audit checks: off=%g heavy=%g", off.AuditChecks.Mean, heavy.AuditChecks.Mean)
+	if off.Metric("audit_checks").Mean == 0 || heavy.Metric("audit_checks").Mean == 0 {
+		t.Fatalf("audit checks: off=%g heavy=%g", off.Metric("audit_checks").Mean, heavy.Metric("audit_checks").Mean)
 	}
 	if !strings.Contains(res.Render(), "revocations") {
 		t.Fatal("render malformed")

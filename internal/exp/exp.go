@@ -37,6 +37,14 @@ type Scenario struct {
 
 // Run builds the platform and executes the scenario.
 func (s Scenario) Run() (*core.Results, error) {
+	r, _, err := s.RunWithPlatform()
+	return r, err
+}
+
+// RunWithPlatform is Run that also returns the platform, for readers of
+// state that lives outside Results, such as a framework's per-revision
+// tallies.
+func (s Scenario) RunWithPlatform() (*core.Results, *core.Platform, error) {
 	cfg := core.DefaultConfig()
 	cfg.Policy = s.Policy
 	cfg.Seed = s.Seed
@@ -48,7 +56,7 @@ func (s Scenario) Run() (*core.Results, error) {
 	}
 	p, err := core.NewPlatform(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("exp: building platform: %w", err)
+		return nil, nil, fmt.Errorf("exp: building platform: %w", err)
 	}
 	if s.Setup != nil {
 		s.Setup(p)
@@ -57,7 +65,8 @@ func (s Scenario) Run() (*core.Results, error) {
 	if w == nil {
 		w = workload.Paper(workload.DefaultPaperConfig())
 	}
-	return p.Run(w)
+	r, err := p.Run(w)
+	return r, p, err
 }
 
 // Experiment is a named, runnable reproduction unit for the CLI.
@@ -102,34 +111,23 @@ func All() []Experiment {
 		{Name: "realistic", Artifact: "Extension: realistic datacenter workloads (paper §7)", Run: func(seed int64, opt Options) (Renderable, error) {
 			return AblationRealistic(seed, opt)
 		}},
-		{Name: "services", Artifact: "Extension: elastic latency-SLO services (load x policy x burst)", Run: func(seed int64, opt Options) (Renderable, error) {
-			m := DefaultServicesMatrix()
-			m.BaseSeed = seed
-			return m.Services(opt)
-		}},
-		{Name: "serverless", Artifact: "Extension: scale-to-zero functions (idle gap x cold start x concurrency)", Run: func(seed int64, opt Options) (Renderable, error) {
-			m := DefaultServerlessMatrix()
-			m.BaseSeed = seed
-			return m.Serverless(opt)
-		}},
-		{Name: "spot", Artifact: "Extension: preemptible (spot) cloud capacity (policy x volatility x bid)", Run: func(seed int64, opt Options) (Renderable, error) {
-			m := DefaultSpotMatrix()
-			m.BaseSeed = seed
-			return m.Spot(opt)
-		}},
-		{Name: "chaos", Artifact: "Extension: fault campaigns under the invariant auditor (intensity x policy)", Run: func(seed int64, opt Options) (Renderable, error) {
-			m := DefaultChaosMatrix()
-			m.BaseSeed = seed
-			return m.Chaos(opt)
-		}},
+		{Name: "services", Artifact: "Extension: elastic latency-SLO services (load x policy x burst)", Run: runGrid(ServicesGrid)},
+		{Name: "serverless", Artifact: "Extension: scale-to-zero functions (idle gap x cold start x concurrency)", Run: runGrid(ServerlessGrid)},
+		{Name: "spot", Artifact: "Extension: preemptible (spot) cloud capacity (policy x volatility x bid)", Run: runGrid(SpotGrid)},
+		{Name: "chaos", Artifact: "Extension: fault campaigns under the invariant auditor (intensity x policy)", Run: runGrid(ChaosGrid)},
 		{Name: "scale", Artifact: "Scale benchmark: sharded core at 1k→100k→1M applications", Run: func(seed int64, opt Options) (Renderable, error) {
 			return Scale(seed, opt)
 		}},
-		{Name: "sweep", Artifact: "Parallel matrix sweep (policy x load, mean ±CI)", Run: func(seed int64, opt Options) (Renderable, error) {
-			m := DefaultMatrix()
-			m.BaseSeed = seed
-			return m.Sweep(opt)
-		}},
+		{Name: "sweep", Artifact: "Parallel matrix sweep (policy x load, mean ±CI)", Run: runGrid(SweepGrid)},
+	}
+}
+
+// runGrid runs a stock grid at the given base seed.
+func runGrid(stock func() Grid) func(int64, Options) (Renderable, error) {
+	return func(seed int64, opt Options) (Renderable, error) {
+		g := stock()
+		g.BaseSeed = seed
+		return g.Run(opt)
 	}
 }
 

@@ -8,18 +8,25 @@ import (
 	"meryn/internal/core"
 )
 
-func TestParallelRunsAll(t *testing.T) {
+// TestPoolRunsAll: the pool visits every index at an explicit and at
+// the default worker bound, and never calls fn for an empty range.
+func TestPoolRunsAll(t *testing.T) {
 	var count int64
-	Parallel(100, 8, func(i int) { atomic.AddInt64(&count, 1) })
+	each := func(n, workers int, fn func(i int)) {
+		if err := (Pool{Workers: workers}).Each(n, func(i int) error { fn(i); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	each(100, 8, func(i int) { atomic.AddInt64(&count, 1) })
 	if count != 100 {
 		t.Fatalf("count = %d", count)
 	}
 	count = 0
-	Parallel(3, 0, func(i int) { atomic.AddInt64(&count, 1) }) // default workers
+	each(3, 0, func(i int) { atomic.AddInt64(&count, 1) }) // default workers
 	if count != 3 {
 		t.Fatalf("count = %d", count)
 	}
-	Parallel(0, 4, func(i int) { t.Fatal("fn called for n=0") })
+	each(0, 4, func(i int) { t.Fatal("fn called for n=0") })
 }
 
 func TestScenarioDefaultsToPaperWorkload(t *testing.T) {

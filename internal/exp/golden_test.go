@@ -27,11 +27,11 @@ func TestGridGolden(t *testing.T) {
 		name string
 		run  func() (gridOutput, error)
 	}{
-		{"sweep", func() (gridOutput, error) { return fastMatrix().Sweep(Options{}) }},
-		{"services", func() (gridOutput, error) { return smallServicesMatrix().Services(Options{}) }},
-		{"serverless", func() (gridOutput, error) { return smallServerlessMatrix().Serverless(Options{}) }},
-		{"spot", func() (gridOutput, error) { return smallSpotMatrix().Spot(Options{}) }},
-		{"chaos", func() (gridOutput, error) { return smallChaosMatrix().Chaos(Options{}) }},
+		{"sweep", func() (gridOutput, error) { return fastMatrix().Run(Options{}) }},
+		{"services", func() (gridOutput, error) { return smallServicesMatrix().Run(Options{}) }},
+		{"serverless", func() (gridOutput, error) { return smallServerlessMatrix().Run(Options{}) }},
+		{"spot", func() (gridOutput, error) { return smallSpotMatrix().Run(Options{}) }},
+		{"chaos", func() (gridOutput, error) { return smallChaosMatrix().Run(Options{}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,15 +8,15 @@ import (
 
 // smallServerlessMatrix is the CI-sized grid: one gap, one cold-start
 // cost, both concurrency targets, two reps.
-func smallServerlessMatrix() ServerlessMatrix {
-	return ServerlessMatrix{
-		Name:       "serverless-smoke",
-		IdleGaps:   []float64{120},
-		ColdStarts: []float64{5},
-		Concs:      []float64{1, 2},
-		Reps:       2,
-		BaseSeed:   1,
-	}
+func smallServerlessMatrix() Grid {
+	g := ServerlessGrid()
+	g.Name = "serverless-smoke"
+	g.Set("idle_gap_s", 120.0)
+	g.Set("cold_start_s", 5.0)
+	g.Set("conc_target", 1.0, 2.0)
+	g.Reps = 2
+	g.BaseSeed = 1
+	return g
 }
 
 // TestServerlessJSONWorkerInvariance is the harness determinism
@@ -25,11 +25,11 @@ func smallServerlessMatrix() ServerlessMatrix {
 // revision tallies are read back from per-run platform state.
 func TestServerlessJSONWorkerInvariance(t *testing.T) {
 	m := smallServerlessMatrix()
-	r1, err := m.Serverless(Options{Workers: 1})
+	r1, err := m.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := m.Serverless(Options{Workers: 4})
+	r4, err := m.Run(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestServerlessJSONWorkerInvariance(t *testing.T) {
 }
 
 func TestServerlessGridShape(t *testing.T) {
-	res, err := smallServerlessMatrix().Serverless(Options{})
+	res, err := smallServerlessMatrix().Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +61,18 @@ func TestServerlessGridShape(t *testing.T) {
 		// Scale-to-zero happened and was paid for: activations,
 		// zero-scales and cold starts are all present, and the canary
 		// revision took real traffic with its own cold starts.
-		if c.Activations.Mean < 2 || c.ZeroScales.Mean < 1 || c.ColdStarts.Mean <= 0 {
+		if c.Metric("activations").Mean < 2 || c.Metric("zero_scales").Mean < 1 || c.Metric("cold_starts").Mean <= 0 {
 			t.Fatalf("cell %+v: scale-to-zero lifecycle missing", c)
 		}
-		if c.CanaryRequests.Mean <= 0 || c.CanaryCold.Mean <= 0 {
+		if c.Metric("canary_requests_v2").Mean <= 0 || c.Metric("canary_cold_starts").Mean <= 0 {
 			t.Fatalf("cell %+v: canary revision never served", c)
 		}
 		// Cold-start delay is charged against the SLO: attainment sits
 		// strictly inside (0, 1).
-		if c.Attainment.Mean <= 0 || c.Attainment.Mean >= 1 {
-			t.Fatalf("cell %+v: attainment %g, want in (0,1)", c, c.Attainment.Mean)
+		if att := c.Metric("slo_attainment").Mean; att <= 0 || att >= 1 {
+			t.Fatalf("cell %+v: attainment %g, want in (0,1)", c, att)
 		}
-		if c.Metered.Mean <= 0 || c.Served.Mean <= 0 {
+		if c.Metric("metered_units").Mean <= 0 || c.Metric("served_requests").Mean <= 0 {
 			t.Fatalf("cell %+v: invocation accounting missing", c)
 		}
 	}

@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"meryn/internal/core"
 	"meryn/internal/metrics"
-	"meryn/internal/report"
 	"meryn/internal/sim"
 	"meryn/internal/stats"
 	"meryn/internal/workload"
@@ -92,202 +88,82 @@ func ServiceScenario(cfg ServiceScenarioConfig) Scenario {
 	}
 }
 
-// ServicesMatrix declares the services sweep grid: offered load x
-// replica policy x burst amplitude, replicated Reps times per cell.
-type ServicesMatrix struct {
-	Name     string
-	Loads    []float64 // base-rate multipliers (default 0.7, 1.0, 1.3)
-	Policies []string  // replica policies (default noop, scaleout)
-	Bursts   []float64 // burst amplitudes (default 1, 2.5)
-	Reps     int       // seed replications per cell (default 3)
-	BaseSeed int64     // feeds DeriveSeed per run (default 1)
-}
-
-// DefaultServicesMatrix is the stock grid behind `-exp services`.
-func DefaultServicesMatrix() ServicesMatrix {
-	return ServicesMatrix{
-		Name:     "services",
-		Loads:    []float64{0.7, 1.0, 1.3},
-		Policies: []string{ReplicaPolicyNoop, ReplicaPolicyScaleOut},
-		Bursts:   []float64{1, 2.5},
-		Reps:     3,
+// ServicesGrid is the stock grid behind `-exp services`: replica
+// policy x offered load x burst amplitude, 3 reps per cell.
+func ServicesGrid() Grid {
+	svc := func(r *core.Results) metrics.Aggregate {
+		return metrics.AggregateRecords(r.Ledger.ByType(string(workload.TypeService)))
 	}
-}
-
-func (m ServicesMatrix) withDefaults() ServicesMatrix {
-	d := DefaultServicesMatrix()
-	if m.Name == "" {
-		m.Name = d.Name
-	}
-	if len(m.Loads) == 0 {
-		m.Loads = d.Loads
-	}
-	if len(m.Policies) == 0 {
-		m.Policies = d.Policies
-	}
-	if len(m.Bursts) == 0 {
-		m.Bursts = d.Bursts
-	}
-	if m.Reps <= 0 {
-		m.Reps = d.Reps
-	}
-	if m.BaseSeed == 0 {
-		m.BaseSeed = 1
-	}
-	return m
-}
-
-// serviceRun is one expanded grid replication.
-type serviceRun struct {
-	policy   string
-	load     float64
-	burst    float64
-	rep      int
-	seed     int64
-	cellName string
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m ServicesMatrix) expand() []serviceRun {
-	var runs []serviceRun
-	for _, p := range m.Policies {
-		for _, ld := range m.Loads {
-			for _, b := range m.Bursts {
-				cell := fmt.Sprintf("%s/load=%g/burst=%g", p, ld, b)
-				for rep := 0; rep < m.Reps; rep++ {
-					runs = append(runs, serviceRun{
-						policy: p, load: ld, burst: b, rep: rep,
-						seed:     DeriveSeed(m.BaseSeed, fmt.Sprintf("services/%s/rep=%d", cell, rep)),
-						cellName: cell,
-					})
+	return Grid{
+		Name: "services", Title: "Services", Prefix: "services/",
+		About: "elastic latency-SLO services + batch stream; offered load x replica policy x burst amplitude",
+		Notes: "slo attain = clean SLO intervals / evaluated intervals over service apps;\n" +
+			"cloud frac = cloud VM-seconds over total VM-seconds; seeds derived per cell+rep",
+		Axes: []Axis{
+			{Key: "policy", Doc: "replica policy", Values: []any{ReplicaPolicyNoop, ReplicaPolicyScaleOut}},
+			{Key: "load_mult", Label: "load", Doc: "offered-load multiplier", Values: []any{0.7, 1.0, 1.3}},
+			{Key: "burst_amp", Label: "burst", Doc: "burst amplitude factor", Values: []any{1.0, 2.5}},
+		},
+		Reps: 3,
+		Build: func(c Cell, seed int64) Scenario {
+			return ServiceScenario(ServiceScenarioConfig{
+				Seed: seed, Policy: c[0].(string), LoadMult: c[1].(float64), BurstAmp: c[2].(float64),
+			})
+		},
+		Measures: []Measure{
+			// Clean-interval fraction over service apps.
+			{"slo_attainment", func(r *core.Results, _ *core.Platform) float64 { return svc(r).SLOAttainment }},
+			// SLO-burn penalties refunded.
+			{"penalty_units", func(r *core.Results, _ *core.Platform) float64 { return svc(r).TotalPenalty }},
+			// Provider-side cost, all apps.
+			{"cost_units", func(r *core.Results, _ *core.Platform) float64 { return allApps(r).TotalCost }},
+			// Cloud VM-seconds over total VM-seconds.
+			{"cloud_frac", func(r *core.Results, _ *core.Platform) float64 {
+				horizon := sim.Seconds(r.CompletionTime)
+				cloudS := r.CloudSeries.Integral(horizon)
+				privS := r.PrivateSeries.Integral(horizon)
+				if cloudS+privS > 0 {
+					return cloudS / (cloudS + privS)
 				}
-			}
-		}
+				return 0
+			}},
+			{"peak_cloud_vms", peakCloud},
+			// Widest any service scaled.
+			{"peak_replicas", func(r *core.Results, _ *core.Platform) float64 {
+				return peakReplicas(r, workload.TypeService)
+			}},
+			// Batch deadlines missed alongside.
+			{"batch_missed", func(r *core.Results, _ *core.Platform) float64 {
+				return float64(metrics.AggregateRecords(r.Ledger.ByType(string(workload.TypeBatch))).DeadlinesMissed)
+			}},
+			// Replicas yielded to winning bids.
+			{"replica_reclaims", func(r *core.Results, _ *core.Platform) float64 {
+				return float64(r.Counters.ReplicaReclaims.Count)
+			}},
+			// Controller target raises.
+			{"replica_scale_outs", func(r *core.Results, _ *core.Platform) float64 {
+				return float64(r.Counters.ReplicaScaleOuts.Count)
+			}},
+		},
+		Columns: []Column{
+			{Header: "policy", Key: "policy"},
+			{Header: "load", Key: "load_mult"},
+			{Header: "burst", Key: "burst_amp"},
+			{Header: "slo attain", Key: "slo_attainment", Digits: 3},
+			{Header: "penalty [u]", Key: "penalty_units"},
+			{Header: "cost [u]", Key: "cost_units"},
+			{Header: "cloud frac", Key: "cloud_frac", Digits: 3},
+			{Header: "peak repl", Key: "peak_replicas", Digits: 1, Mean: true},
+			{Header: "reclaims", Key: "replica_reclaims", Digits: 1, Mean: true},
+		},
 	}
-	return runs
 }
 
-// ServiceCellStats is one aggregated grid cell.
-type ServiceCellStats struct {
-	Policy string  `json:"policy"`
-	Load   float64 `json:"load_mult"`
-	Burst  float64 `json:"burst_amp"`
-	Reps   int     `json:"reps"`
-
-	Attainment  Metric `json:"slo_attainment"`     // clean-interval fraction over service apps
-	Penalty     Metric `json:"penalty_units"`      // SLO-burn penalties refunded
-	Cost        Metric `json:"cost_units"`         // provider-side cost, all apps
-	CloudFrac   Metric `json:"cloud_frac"`         // cloud VM-seconds / total VM-seconds
-	PeakCloud   Metric `json:"peak_cloud_vms"`     //
-	PeakRepl    Metric `json:"peak_replicas"`      // widest any service scaled
-	BatchMissed Metric `json:"batch_missed"`       // batch deadlines missed alongside
-	Reclaims    Metric `json:"replica_reclaims"`   // replicas yielded to winning bids
-	ScaleOuts   Metric `json:"replica_scale_outs"` // controller target raises
-}
-
-// ServicesResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type ServicesResult struct {
-	Name     string             `json:"name"`
-	BaseSeed int64              `json:"base_seed"`
-	Reps     int                `json:"reps"`
-	Runs     int                `json:"runs"`
-	Cells    []ServiceCellStats `json:"cells"`
-}
-
-// Services executes the grid on the worker pool with derived per-run
-// seeds and aggregates per-cell statistics.
-func (m ServicesMatrix) Services(opt Options) (*ServicesResult, error) {
-	m = m.withDefaults()
-	if opt.Reps > 0 {
-		m.Reps = opt.Reps
+// peakReplicas is the widest any application of the type scaled.
+func peakReplicas(r *core.Results, typ workload.AppType) float64 {
+	peak := 0
+	for _, rec := range r.Ledger.ByType(string(typ)) {
+		peak = max(peak, rec.PeakReplicas)
 	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return ServiceScenario(ServiceScenarioConfig{
-			Seed: r.seed, Policy: r.policy, LoadMult: r.load, BurstAmp: r.burst,
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: services %q: %w", m.Name, err)
-	}
-
-	res := &ServicesResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var att, pen, cost, cloudFrac, peakCloud, peakRepl, missed, reclaims, scaleOuts stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			svcAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeService)))
-			batchAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeBatch)))
-			all := metrics.AggregateRecords(run.Ledger.All())
-			att.Add(svcAgg.SLOAttainment)
-			pen.Add(svcAgg.TotalPenalty)
-			cost.Add(all.TotalCost)
-			horizon := sim.Seconds(run.CompletionTime)
-			cloudS := run.CloudSeries.Integral(horizon)
-			privS := run.PrivateSeries.Integral(horizon)
-			frac := 0.0
-			if cloudS+privS > 0 {
-				frac = cloudS / (cloudS + privS)
-			}
-			cloudFrac.Add(frac)
-			peakCloud.Add(run.CloudSeries.Max())
-			maxRepl := 0
-			for _, rec := range run.Ledger.ByType(string(workload.TypeService)) {
-				if rec.PeakReplicas > maxRepl {
-					maxRepl = rec.PeakReplicas
-				}
-			}
-			peakRepl.Add(float64(maxRepl))
-			missed.Add(float64(batchAgg.DeadlinesMissed))
-			reclaims.Add(float64(run.Counters.ReplicaReclaims.Count))
-			scaleOuts.Add(float64(run.Counters.ReplicaScaleOuts.Count))
-		}
-		res.Cells = append(res.Cells, ServiceCellStats{
-			Policy: r.policy, Load: r.load, Burst: r.burst, Reps: m.Reps,
-			Attainment:  metricOf(&att),
-			Penalty:     metricOf(&pen),
-			Cost:        metricOf(&cost),
-			CloudFrac:   metricOf(&cloudFrac),
-			PeakCloud:   metricOf(&peakCloud),
-			PeakRepl:    metricOf(&peakRepl),
-			BatchMissed: metricOf(&missed),
-			Reclaims:    metricOf(&reclaims),
-			ScaleOuts:   metricOf(&scaleOuts),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *ServicesResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// Render implements Renderable.
-func (r *ServicesResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Services %q: %d cells x %d reps (base seed %d)\n", r.Name, len(r.Cells), r.Reps, r.BaseSeed)
-	b.WriteString("elastic latency-SLO services + batch stream; offered load x replica policy x burst amplitude\n\n")
-	t := report.Table{Headers: []string{
-		"policy", "load", "burst", "slo attain", "penalty [u]", "cost [u]", "cloud frac", "peak repl", "reclaims",
-	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
-	for _, c := range r.Cells {
-		t.AddRow(c.Policy, fmt.Sprintf("%g", c.Load), fmt.Sprintf("%g", c.Burst),
-			pm(c.Attainment, 3), pm(c.Penalty, 0), pm(c.Cost, 0),
-			pm(c.CloudFrac, 3), fmt.Sprintf("%.1f", c.PeakRepl.Mean),
-			fmt.Sprintf("%.1f", c.Reclaims.Mean))
-	}
-	_ = t.Render(&b)
-	b.WriteString("\nslo attain = clean SLO intervals / evaluated intervals over service apps;\ncloud frac = cloud VM-seconds over total VM-seconds; seeds derived per cell+rep\n")
-	return b.String()
+	return float64(peak)
 }

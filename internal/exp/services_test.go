@@ -8,14 +8,14 @@ import (
 
 // smallServicesMatrix is the CI-sized grid: nominal load under bursts,
 // both replica policies, two reps.
-func smallServicesMatrix() ServicesMatrix {
-	return ServicesMatrix{
-		Loads:    []float64{1},
-		Policies: []string{ReplicaPolicyNoop, ReplicaPolicyScaleOut},
-		Bursts:   []float64{2.5},
-		Reps:     2,
-		BaseSeed: 1,
-	}
+func smallServicesMatrix() Grid {
+	g := ServicesGrid()
+	g.Set("load_mult", 1.0)
+	g.Set("policy", ReplicaPolicyNoop, ReplicaPolicyScaleOut)
+	g.Set("burst_amp", 2.5)
+	g.Reps = 2
+	g.BaseSeed = 1
+	return g
 }
 
 func TestServicesExperimentRegistered(t *testing.T) {
@@ -32,18 +32,13 @@ func TestServicesExperimentRegistered(t *testing.T) {
 // guarantee extended to the services grid: byte-identical JSON whatever
 // the worker count.
 func TestServicesJSONWorkerInvariance(t *testing.T) {
-	m := ServicesMatrix{
-		Loads:    []float64{1},
-		Policies: []string{ReplicaPolicyNoop, ReplicaPolicyScaleOut},
-		Bursts:   []float64{2.5},
-		Reps:     2,
-		BaseSeed: 3,
-	}
-	r1, err := m.Services(Options{Workers: 1})
+	m := smallServicesMatrix()
+	m.BaseSeed = 3
+	r1, err := m.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := m.Services(Options{Workers: 4})
+	r4, err := m.Run(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +60,14 @@ func TestServicesJSONWorkerInvariance(t *testing.T) {
 // bursty load (attainment at least matches noop).
 func TestServicesGridShape(t *testing.T) {
 	m := smallServicesMatrix()
-	runs := m.withDefaults().expand()
+	runs := m.Expand()
 	if len(runs) != 4 {
 		t.Fatalf("runs = %d, want 4", len(runs))
 	}
-	if runs[0].seed == runs[1].seed || runs[0].seed == runs[2].seed {
+	if runs[0].Seed == runs[1].Seed || runs[0].Seed == runs[2].Seed {
 		t.Fatal("derived seeds collide across reps/cells")
 	}
-	res, err := m.Services(Options{})
+	res, err := m.Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,22 +75,22 @@ func TestServicesGridShape(t *testing.T) {
 		t.Fatalf("cells = %d, want 2", len(res.Cells))
 	}
 	noop, scaleout := res.Cells[0], res.Cells[1]
-	if noop.Policy != ReplicaPolicyNoop || scaleout.Policy != ReplicaPolicyScaleOut {
-		t.Fatalf("cell order = %s,%s, want noop,scaleout", noop.Policy, scaleout.Policy)
+	if noop.Value("policy") != ReplicaPolicyNoop || scaleout.Value("policy") != ReplicaPolicyScaleOut {
+		t.Fatalf("cell order = %s,%s, want noop,scaleout", noop.Value("policy"), scaleout.Value("policy"))
 	}
 	for _, c := range res.Cells {
-		if c.Attainment.Mean <= 0 || c.Attainment.Mean > 1 {
-			t.Fatalf("%s attainment = %g, want (0,1]", c.Policy, c.Attainment.Mean)
+		if att := c.Metric("slo_attainment").Mean; att <= 0 || att > 1 {
+			t.Fatalf("%s attainment = %g, want (0,1]", c.Value("policy"), att)
 		}
-		if c.Cost.Mean <= 0 {
-			t.Fatalf("%s cost = %g, want > 0", c.Policy, c.Cost.Mean)
+		if cost := c.Metric("cost_units").Mean; cost <= 0 {
+			t.Fatalf("%s cost = %g, want > 0", c.Value("policy"), cost)
 		}
 	}
-	if scaleout.Attainment.Mean < noop.Attainment.Mean {
+	if scaleout.Metric("slo_attainment").Mean < noop.Metric("slo_attainment").Mean {
 		t.Fatalf("scaleout attainment %.3f below noop %.3f under bursty load",
-			scaleout.Attainment.Mean, noop.Attainment.Mean)
+			scaleout.Metric("slo_attainment").Mean, noop.Metric("slo_attainment").Mean)
 	}
-	if scaleout.CloudFrac.Mean == 0 {
+	if scaleout.Metric("cloud_frac").Mean == 0 {
 		t.Fatal("scaleout policy never burst to the cloud")
 	}
 	if got := res.Render(); !strings.Contains(got, "slo attain") {

@@ -1,15 +1,10 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"meryn/internal/cloud"
 	"meryn/internal/core"
-	"meryn/internal/metrics"
-	"meryn/internal/report"
 	"meryn/internal/sim"
 	"meryn/internal/stats"
 	"meryn/internal/workload"
@@ -82,192 +77,48 @@ func SpotScenario(cfg SpotScenarioConfig) Scenario {
 	}
 }
 
-// SpotMatrix declares the spot sweep grid: lease policy x market
-// volatility x bid multiplier, replicated Reps times per cell. The
-// on-demand baseline ignores the bid dimension (one cell per
-// volatility).
-type SpotMatrix struct {
-	Name     string
-	Policies []string  // lease policies (default ondemand, spot)
-	Vols     []float64 // market volatilities (default 0.05, 0.2)
-	BidMults []float64 // spot bid multipliers (default 1.1, 1.6)
-	Reps     int       // seed replications per cell (default 3)
-	BaseSeed int64     // feeds DeriveSeed per run (default 1)
-}
-
-// DefaultSpotMatrix is the stock grid behind `-exp spot`.
-func DefaultSpotMatrix() SpotMatrix {
-	return SpotMatrix{
-		Name:     "spot",
-		Policies: []string{SpotPolicyOnDemand, SpotPolicySpot},
-		Vols:     []float64{0.05, 0.2},
-		BidMults: []float64{1.1, 1.6},
-		Reps:     3,
+// SpotGrid is the stock grid behind `-exp spot`: lease policy x market
+// volatility x bid multiplier, 3 reps per cell. The on-demand baseline
+// has no bid dimension (one cell per volatility).
+func SpotGrid() Grid {
+	return Grid{
+		Name: "spot", Title: "Spot", Prefix: "spot/",
+		About: "preemptible cloud capacity; lease policy x market volatility x bid multiplier",
+		Notes: "revocations = attached spot leases preempted when the market crossed their bid;\n" +
+			"fallbacks = lease decisions forced from spot to on-demand; seeds derived per cell+rep",
+		Axes: []Axis{
+			{Key: "policy", Doc: "cloud lease policy", Values: []any{SpotPolicyOnDemand, SpotPolicySpot}},
+			{Key: "volatility", Label: "vol", Doc: "market volatility per price tick", Values: []any{0.05, 0.2}},
+			{Key: "bid_mult", Label: "bid", Doc: "spot bid as a multiple of the quote (spot policy only)",
+				Values: []any{1.1, 1.6}, Only: func(c Cell) bool { return c[0] == SpotPolicySpot }},
+		},
+		Reps: 3,
+		Build: func(c Cell, seed int64) Scenario {
+			return SpotScenario(SpotScenarioConfig{
+				Seed: seed, Policy: c[0].(string), Vol: c[1].(float64), BidMult: c[2].(float64),
+			})
+		},
+		Measures: []Measure{
+			{"penalty_units", penalty},
+			{"cloud_spend", cloudSpend},
+			{"spot_spend", func(r *core.Results, _ *core.Platform) float64 { return r.SpotSpend }},
+			{"revocations", revocations},
+			{"spot_fallbacks", func(r *core.Results, _ *core.Platform) float64 {
+				return float64(r.Counters.SpotFallbacks.Count)
+			}},
+			{"deadlines_missed", missed},
+			{"completion_s", completion},
+		},
+		Columns: []Column{
+			{Header: "policy", Key: "policy"},
+			{Header: "vol", Key: "volatility"},
+			{Header: "bid", Key: "bid_mult", Zero: "-"},
+			{Header: "penalty [u]", Key: "penalty_units"},
+			{Header: "spend [u]", Key: "cloud_spend"},
+			{Header: "spot [u]", Key: "spot_spend"},
+			{Header: "revocations", Key: "revocations", Digits: 1, Mean: true},
+			{Header: "fallbacks", Key: "spot_fallbacks", Digits: 1, Mean: true},
+			{Header: "missed", Key: "deadlines_missed", Digits: 1, Mean: true},
+		},
 	}
-}
-
-func (m SpotMatrix) withDefaults() SpotMatrix {
-	d := DefaultSpotMatrix()
-	if m.Name == "" {
-		m.Name = d.Name
-	}
-	if len(m.Policies) == 0 {
-		m.Policies = d.Policies
-	}
-	if len(m.Vols) == 0 {
-		m.Vols = d.Vols
-	}
-	if len(m.BidMults) == 0 {
-		m.BidMults = d.BidMults
-	}
-	if m.Reps <= 0 {
-		m.Reps = d.Reps
-	}
-	if m.BaseSeed == 0 {
-		m.BaseSeed = 1
-	}
-	return m
-}
-
-// spotRun is one expanded grid replication.
-type spotRun struct {
-	policy   string
-	vol      float64
-	bidMult  float64 // 0 for the on-demand baseline
-	rep      int
-	seed     int64
-	cellName string
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m SpotMatrix) expand() []spotRun {
-	var runs []spotRun
-	for _, p := range m.Policies {
-		bids := m.BidMults
-		if p != SpotPolicySpot {
-			bids = []float64{0} // the baseline has no bid dimension
-		}
-		for _, v := range m.Vols {
-			for _, b := range bids {
-				cell := fmt.Sprintf("%s/vol=%g/bid=%g", p, v, b)
-				for rep := 0; rep < m.Reps; rep++ {
-					runs = append(runs, spotRun{
-						policy: p, vol: v, bidMult: b, rep: rep,
-						seed:     DeriveSeed(m.BaseSeed, fmt.Sprintf("spot/%s/rep=%d", cell, rep)),
-						cellName: cell,
-					})
-				}
-			}
-		}
-	}
-	return runs
-}
-
-// SpotCellStats is one aggregated grid cell.
-type SpotCellStats struct {
-	Policy  string  `json:"policy"`
-	Vol     float64 `json:"volatility"`
-	BidMult float64 `json:"bid_mult,omitempty"`
-	Reps    int     `json:"reps"`
-
-	Penalty     Metric `json:"penalty_units"`    // SLA penalties refunded
-	CloudSpend  Metric `json:"cloud_spend"`      // provider-side charges
-	SpotSpend   Metric `json:"spot_spend"`       // preemptible share of the spend
-	Revocations Metric `json:"revocations"`      // attached leases preempted
-	Fallbacks   Metric `json:"spot_fallbacks"`   // decisions forced to on-demand
-	Missed      Metric `json:"deadlines_missed"` // SLA deadlines blown
-	Completion  Metric `json:"completion_s"`     // last application end
-}
-
-// SpotResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type SpotResult struct {
-	Name     string          `json:"name"`
-	BaseSeed int64           `json:"base_seed"`
-	Reps     int             `json:"reps"`
-	Runs     int             `json:"runs"`
-	Cells    []SpotCellStats `json:"cells"`
-}
-
-// Spot executes the grid on the worker pool with derived per-run seeds
-// and aggregates per-cell statistics.
-func (m SpotMatrix) Spot(opt Options) (*SpotResult, error) {
-	m = m.withDefaults()
-	if opt.Reps > 0 {
-		m.Reps = opt.Reps
-	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return SpotScenario(SpotScenarioConfig{
-			Seed: r.seed, Policy: r.policy, BidMult: r.bidMult, Vol: r.vol,
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: spot %q: %w", m.Name, err)
-	}
-
-	res := &SpotResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var pen, spend, spot, revs, falls, missed, completion stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			agg := metrics.AggregateRecords(run.Ledger.All())
-			pen.Add(agg.TotalPenalty)
-			spend.Add(run.CloudSpend)
-			spot.Add(run.SpotSpend)
-			revs.Add(float64(run.Counters.SpotRevocations.Count))
-			falls.Add(float64(run.Counters.SpotFallbacks.Count))
-			missed.Add(float64(agg.DeadlinesMissed))
-			completion.Add(run.CompletionTime)
-		}
-		res.Cells = append(res.Cells, SpotCellStats{
-			Policy: r.policy, Vol: r.vol, BidMult: r.bidMult, Reps: m.Reps,
-			Penalty:     metricOf(&pen),
-			CloudSpend:  metricOf(&spend),
-			SpotSpend:   metricOf(&spot),
-			Revocations: metricOf(&revs),
-			Fallbacks:   metricOf(&falls),
-			Missed:      metricOf(&missed),
-			Completion:  metricOf(&completion),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *SpotResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// Render implements Renderable.
-func (r *SpotResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Spot %q: %d cells x %d reps (base seed %d)\n", r.Name, len(r.Cells), r.Reps, r.BaseSeed)
-	b.WriteString("preemptible cloud capacity; lease policy x market volatility x bid multiplier\n\n")
-	t := report.Table{Headers: []string{
-		"policy", "vol", "bid", "penalty [u]", "spend [u]", "spot [u]", "revocations", "fallbacks", "missed",
-	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
-	for _, c := range r.Cells {
-		bid := "-"
-		if c.BidMult > 0 {
-			bid = fmt.Sprintf("%g", c.BidMult)
-		}
-		t.AddRow(c.Policy, fmt.Sprintf("%g", c.Vol), bid,
-			pm(c.Penalty, 0), pm(c.CloudSpend, 0), pm(c.SpotSpend, 0),
-			fmt.Sprintf("%.1f", c.Revocations.Mean),
-			fmt.Sprintf("%.1f", c.Fallbacks.Mean),
-			fmt.Sprintf("%.1f", c.Missed.Mean))
-	}
-	_ = t.Render(&b)
-	b.WriteString("\nrevocations = attached spot leases preempted when the market crossed their bid;\nfallbacks = lease decisions forced from spot to on-demand; seeds derived per cell+rep\n")
-	return b.String()
 }

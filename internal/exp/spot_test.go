@@ -8,15 +8,15 @@ import (
 
 // smallSpotMatrix is the CI-sized grid: one volatility, one bid, both
 // policies, two reps.
-func smallSpotMatrix() SpotMatrix {
-	return SpotMatrix{
-		Name:     "spot-smoke",
-		Policies: []string{SpotPolicyOnDemand, SpotPolicySpot},
-		Vols:     []float64{0.2},
-		BidMults: []float64{1.1},
-		Reps:     2,
-		BaseSeed: 1,
-	}
+func smallSpotMatrix() Grid {
+	g := SpotGrid()
+	g.Name = "spot-smoke"
+	g.Set("policy", SpotPolicyOnDemand, SpotPolicySpot)
+	g.Set("volatility", 0.2)
+	g.Set("bid_mult", 1.1)
+	g.Reps = 2
+	g.BaseSeed = 1
+	return g
 }
 
 // TestSpotJSONWorkerInvariance is the harness determinism guarantee
@@ -24,11 +24,11 @@ func smallSpotMatrix() SpotMatrix {
 // count, even though revocation timing depends on market evolution.
 func TestSpotJSONWorkerInvariance(t *testing.T) {
 	m := smallSpotMatrix()
-	r1, err := m.Spot(Options{Workers: 1})
+	r1, err := m.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := m.Spot(Options{Workers: 4})
+	r4, err := m.Run(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSpotJSONWorkerInvariance(t *testing.T) {
 }
 
 func TestSpotGridShape(t *testing.T) {
-	res, err := smallSpotMatrix().Spot(Options{})
+	res, err := smallSpotMatrix().Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,20 +58,20 @@ func TestSpotGridShape(t *testing.T) {
 		t.Fatalf("runs = %d, want 4", res.Runs)
 	}
 	od, sp := res.Cells[0], res.Cells[1]
-	if od.Policy != SpotPolicyOnDemand || sp.Policy != SpotPolicySpot {
-		t.Fatalf("cell order: %s/%s", od.Policy, sp.Policy)
+	if od.Value("policy") != SpotPolicyOnDemand || sp.Value("policy") != SpotPolicySpot {
+		t.Fatalf("cell order: %s/%s", od.Value("policy"), sp.Value("policy"))
 	}
 	// The baseline never touches the spot market.
-	if od.SpotSpend.Mean != 0 || od.Revocations.Mean != 0 {
+	if od.Metric("spot_spend").Mean != 0 || od.Metric("revocations").Mean != 0 {
 		t.Fatalf("on-demand cell has spot activity: %+v", od)
 	}
 	// The aggressive spot cell (bid 1.1x under 0.2 volatility) must see
 	// the defining risk: revocations, and spot spend from settled
 	// partial charges.
-	if sp.Revocations.Mean == 0 {
+	if sp.Metric("revocations").Mean == 0 {
 		t.Fatal("no revocations in the aggressive spot cell")
 	}
-	if sp.SpotSpend.Mean <= 0 {
+	if sp.Metric("spot_spend").Mean <= 0 {
 		t.Fatal("no spot spend settled")
 	}
 	if !strings.Contains(res.Render(), "revocations") {

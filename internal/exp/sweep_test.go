@@ -15,14 +15,14 @@ import (
 
 // fastMatrix is a small grid that runs in well under a second: light
 // load, both policies, two arrival rates, two replications per cell.
-func fastMatrix() Matrix {
-	return Matrix{
-		Name:          "test",
-		Interarrivals: []float64{5, 8},
-		Loads:         []int{10},
-		Reps:          2,
-		BaseSeed:      7,
-	}
+func fastMatrix() Grid {
+	g := SweepGrid()
+	g.Name = "test"
+	g.Set("interarrival_s", 5.0, 8.0)
+	g.Set("load", 10)
+	g.Reps = 2
+	g.BaseSeed = 7
+	return g
 }
 
 // Acceptance: aggregate JSON must be byte-identical whatever the worker
@@ -30,11 +30,11 @@ func fastMatrix() Matrix {
 // aggregated in grid order.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	m := fastMatrix()
-	r1, err := m.Sweep(Options{Workers: 1})
+	r1, err := m.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := m.Sweep(Options{Workers: 8})
+	r8, err := m.Run(Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +113,14 @@ func TestSweepPoolReportsLowestIndexError(t *testing.T) {
 // Cell aggregates must equal hand-recomputed statistics over the same
 // runs executed individually with the same derived seeds.
 func TestSweepCIAggregationMatchesByHand(t *testing.T) {
-	m := Matrix{
-		Name:          "byhand",
-		Policies:      []core.Policy{core.PolicyMeryn},
-		Interarrivals: []float64{5},
-		Loads:         []int{10},
-		Reps:          3,
-		BaseSeed:      11,
-	}
-	res, err := m.Sweep(Options{Workers: 2})
+	m := SweepGrid()
+	m.Name = "byhand"
+	m.Set("policy", "meryn")
+	m.Set("interarrival_s", 5.0)
+	m.Set("load", 10)
+	m.Reps = 3
+	m.BaseSeed = 11
+	res, err := m.Run(Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +136,16 @@ func TestSweepCIAggregationMatchesByHand(t *testing.T) {
 		t.Fatalf("expanded runs = %d", len(runs))
 	}
 	for _, run := range runs {
-		r, err := m.scenario(run).Run()
+		r, err := m.Build(run.Cell, run.Seed).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		costs = append(costs, metrics.AggregateRecords(r.Ledger.All()).TotalCost)
 	}
 	mean := (costs[0] + costs[1] + costs[2]) / 3
-	if math.Abs(cell.Cost.Mean-mean) > 1e-9 {
-		t.Fatalf("cost mean = %v, hand-computed %v", cell.Cost.Mean, mean)
+	cost := cell.Metric("cost_units")
+	if math.Abs(cost.Mean-mean) > 1e-9 {
+		t.Fatalf("cost mean = %v, hand-computed %v", cost.Mean, mean)
 	}
 	// CI95 with df=2: t = 4.303, half-width = t * s / sqrt(3).
 	var ss float64
@@ -154,12 +154,12 @@ func TestSweepCIAggregationMatchesByHand(t *testing.T) {
 	}
 	s := math.Sqrt(ss / 2)
 	want := 4.303 * s / math.Sqrt(3)
-	if math.Abs(cell.Cost.CI95-want) > 1e-6 {
-		t.Fatalf("cost CI95 = %v, hand-computed %v", cell.Cost.CI95, want)
+	if math.Abs(cost.CI95-want) > 1e-6 {
+		t.Fatalf("cost CI95 = %v, hand-computed %v", cost.CI95, want)
 	}
 	lo, hi := math.Min(math.Min(costs[0], costs[1]), costs[2]), math.Max(math.Max(costs[0], costs[1]), costs[2])
-	if cell.Cost.Min != lo || cell.Cost.Max != hi {
-		t.Fatalf("cost range = [%v,%v], hand-computed [%v,%v]", cell.Cost.Min, cell.Cost.Max, lo, hi)
+	if cost.Min != lo || cost.Max != hi {
+		t.Fatalf("cost range = [%v,%v], hand-computed [%v,%v]", cost.Min, cost.Max, lo, hi)
 	}
 }
 
@@ -182,13 +182,13 @@ func TestSweepDeriveSeeds(t *testing.T) {
 	}
 	// Adding an axis value must not change existing runs' seeds.
 	m2 := fastMatrix()
-	m2.Loads = append(m2.Loads, 20)
+	m2.Set("load", append(m2.Axis("load").Values, 20)...)
 	byKey := map[string]int64{}
 	for _, r := range m2.Expand() {
-		byKey[r.Cell.key()+string(rune(r.Rep))] = r.Seed
+		byKey[r.Key] = r.Seed
 	}
 	for _, r := range runs {
-		if byKey[r.Cell.key()+string(rune(r.Rep))] != r.Seed {
+		if byKey[r.Key] != r.Seed {
 			t.Fatal("growing the grid perturbed existing run seeds")
 		}
 	}
@@ -199,16 +199,16 @@ func TestSweepParseMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Policies) != 1 || m.Policies[0] != core.PolicyStatic {
-		t.Fatalf("policies = %v", m.Policies)
+	if p := m.Axis("policy").Values; len(p) != 1 || p[0] != core.PolicyStatic.String() {
+		t.Fatalf("policies = %v", p)
 	}
-	if len(m.Interarrivals) != 2 || m.Interarrivals[0] != 4 || m.Interarrivals[1] != 6 {
-		t.Fatalf("interarrivals = %v", m.Interarrivals)
+	if ia := m.Axis("interarrival_s").Values; len(ia) != 2 || ia[0] != 4.0 || ia[1] != 6.0 {
+		t.Fatalf("interarrivals = %v", ia)
 	}
-	if len(m.ClusterSizes) != 2 || m.ClusterSizes[0] != 40 {
-		t.Fatalf("clusters = %v", m.ClusterSizes)
+	if cs := m.Axis("cluster_size").Values; len(cs) != 2 || cs[0] != 40 {
+		t.Fatalf("clusters = %v", cs)
 	}
-	if m.Loads[0] != 20 || m.Reps != 3 || m.BaseSeed != 9 || m.Name != "x" {
+	if m.Axis("load").Values[0] != 20 || m.Reps != 3 || m.BaseSeed != 9 || m.Name != "x" {
 		t.Fatalf("parsed matrix = %+v", m)
 	}
 	if _, err := ParseMatrix("bogus"); err == nil {
@@ -231,7 +231,7 @@ func TestSweepParseMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Name != DefaultMatrix().Name {
+	if d.Name != SweepGrid().Name {
 		t.Fatalf("empty spec = %+v", d)
 	}
 }
@@ -240,7 +240,7 @@ func TestSweepParseMatrix(t *testing.T) {
 // the experiment registry.
 func TestSweepRenderAndRegistry(t *testing.T) {
 	m := fastMatrix()
-	res, err := m.Sweep(Options{})
+	res, err := m.Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +259,13 @@ func TestSweepRenderAndRegistry(t *testing.T) {
 // (the paper's 9 nodes cap out at 54 VMs), and more private VMs must
 // mean fewer cloud bursts.
 func TestSweepClusterAxisScalesSite(t *testing.T) {
-	m := Matrix{
-		Policies:     []core.Policy{core.PolicyMeryn},
-		ClusterSizes: []int{20, 80},
-		Loads:        []int{50},
-		Reps:         1,
-		BaseSeed:     1,
-	}
-	res, err := m.Sweep(Options{})
+	m := SweepGrid()
+	m.Set("policy", "meryn")
+	m.Set("cluster_size", 20, 80)
+	m.Set("load", 50)
+	m.Reps = 1
+	m.BaseSeed = 1
+	res, err := m.Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,26 +273,29 @@ func TestSweepClusterAxisScalesSite(t *testing.T) {
 		t.Fatalf("cells = %d", len(res.Cells))
 	}
 	small, big := res.Cells[0], res.Cells[1]
-	if small.ClusterSize != 20 || big.ClusterSize != 80 {
+	if small.Value("cluster_size") != 20 || big.Value("cluster_size") != 80 {
 		t.Fatalf("cell order: %+v", res.Cells)
 	}
-	if big.PeakCloud.Mean >= small.PeakCloud.Mean {
+	if big.Metric("peak_cloud_vms").Mean >= small.Metric("peak_cloud_vms").Mean {
 		t.Fatalf("peak cloud with 80 VMs (%v) not below 20 VMs (%v)",
-			big.PeakCloud.Mean, small.PeakCloud.Mean)
+			big.Metric("peak_cloud_vms").Mean, small.Metric("peak_cloud_vms").Mean)
 	}
 }
 
 // Meryn must beat static on cost in the stock overloaded cells — the
 // sweep exists to make that comparison statistically robust.
 func TestSweepMerynBeatsStaticAtHighLoad(t *testing.T) {
-	m := Matrix{Loads: []int{50}, Reps: 3, BaseSeed: 1}
-	res, err := m.Sweep(Options{})
+	m := SweepGrid()
+	m.Set("load", 50)
+	m.Reps = 3
+	m.BaseSeed = 1
+	res, err := m.Run(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPolicy := map[string]Metric{}
+	byPolicy := map[any]Metric{}
 	for _, c := range res.Cells {
-		byPolicy[c.Policy] = c.Cost
+		byPolicy[c.Value("policy")] = c.Metric("cost_units")
 	}
 	if byPolicy["meryn"].Mean >= byPolicy["static"].Mean {
 		t.Fatalf("meryn mean cost %v >= static %v", byPolicy["meryn"].Mean, byPolicy["static"].Mean)
