@@ -228,11 +228,6 @@ type Config struct {
 	// ServiceAvailability is the clean-interval fraction service SLO
 	// contracts require (default 0.95).
 	ServiceAvailability float64
-	// MetricsMaxPoints, when non-zero, caps each usage series
-	// (private-used, cloud-used) via downsampling — useful for long
-	// sweeps where exact per-event series would dominate memory. 0 (the
-	// default) keeps series exact. Must be 0 or >= 4.
-	MetricsMaxPoints int
 	// Enforcer handles SLA violations detected by Application
 	// Controllers (default: record only).
 	Enforcer Enforcer
@@ -429,9 +424,6 @@ func (c *Config) fillDefaults() error {
 				return err
 			}
 		}
-	}
-	if c.MetricsMaxPoints != 0 && c.MetricsMaxPoints < 4 {
-		return fmt.Errorf("core: MetricsMaxPoints %d must be 0 (exact) or >= 4", c.MetricsMaxPoints)
 	}
 	if c.Audit == nil {
 		c.Audit = &AuditConfig{}

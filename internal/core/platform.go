@@ -201,10 +201,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 			p.outs = append(p.outs, &shardOutbox{})
 		}
 	}
-	if cfg.MetricsMaxPoints != 0 {
-		p.PrivateUsed.SetMaxPoints(cfg.MetricsMaxPoints)
-		p.CloudUsed.SetMaxPoints(cfg.MetricsMaxPoints)
-	}
 
 	site := cluster.New(cfg.Site)
 	m, err := vmm.New(eng, vmm.Config{

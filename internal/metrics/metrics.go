@@ -23,29 +23,10 @@ type Point struct {
 type Series struct {
 	Name   string
 	points []Point
-
-	// maxPoints, when non-zero, bounds memory for long sweeps: once a
-	// Record pushes the series past the cap it is compacted by
-	// coalescing points into coarser time buckets (see SetMaxPoints).
-	maxPoints int
 }
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// SetMaxPoints enables optional downsampling: whenever the series grows
-// past n points it is compacted to at most n/2+1 by merging points
-// closer together than span/(n/2) — each kept point carries the final
-// value of its bucket, preserving step semantics at bucket granularity.
-// This is an approximation (short-lived transitions inside a bucket are
-// lost); leave it off (0, the default) for exact series. n must be at
-// least 4.
-func (s *Series) SetMaxPoints(n int) {
-	if n != 0 && n < 4 {
-		panic(fmt.Sprintf("metrics: SetMaxPoints(%d) on %q: cap must be 0 or >= 4", n, s.Name))
-	}
-	s.maxPoints = n
-}
 
 // Record appends a sample. Samples must arrive in nondecreasing time
 // order (the simulation clock guarantees this); a sample at the same
@@ -63,30 +44,6 @@ func (s *Series) Record(at sim.Time, v float64) {
 		}
 	}
 	s.points = append(s.points, Point{At: at, Value: v})
-	if s.maxPoints != 0 && len(s.points) > s.maxPoints {
-		s.compact()
-	}
-}
-
-// compact downsamples in place to at most maxPoints/2+1 points using
-// time buckets of width span/(maxPoints/2). The first point's instant
-// and the latest value are always preserved.
-func (s *Series) compact() {
-	span := s.points[len(s.points)-1].At - s.points[0].At
-	gap := span / sim.Time(s.maxPoints/2)
-	if gap <= 0 {
-		gap = 1
-	}
-	kept := s.points[:1]
-	for _, p := range s.points[1:] {
-		if p.At-kept[len(kept)-1].At >= gap {
-			kept = append(kept, p)
-		} else {
-			// The bucket's final value wins, as with same-instant samples.
-			kept[len(kept)-1].Value = p.Value
-		}
-	}
-	s.points = kept
 }
 
 // Len returns the number of stored points.
@@ -169,10 +126,6 @@ func (g *Gauge) Add(t sim.Time, delta int) {
 	}
 	g.series.Record(t, float64(g.value))
 }
-
-// SetMaxPoints bounds the mirror series via downsampling (see
-// Series.SetMaxPoints). The gauge's current value stays exact.
-func (g *Gauge) SetMaxPoints(n int) { g.series.SetMaxPoints(n) }
 
 // Value returns the current gauge reading.
 func (g *Gauge) Value() int { return g.value }

@@ -336,66 +336,12 @@ func TestPlacementString(t *testing.T) {
 	}
 }
 
-func TestSeriesMaxPointsDownsamples(t *testing.T) {
-	s := NewSeries("capped")
-	s.SetMaxPoints(100)
-	for i := 0; i < 100000; i++ {
-		s.Record(sim.Time(i)*sim.Seconds(1), float64(i%7))
-	}
-	if s.Len() > 100 {
-		t.Fatalf("len = %d, want <= 100", s.Len())
-	}
-	pts := s.Points()
-	if pts[0].At != 0 {
-		t.Fatalf("first instant = %v, want 0 preserved", pts[0].At)
-	}
-	if got := pts[len(pts)-1].Value; got != float64(99999%7) {
-		t.Fatalf("latest value = %v, want %v", got, float64(99999%7))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At <= pts[i-1].At {
-			t.Fatalf("points not strictly increasing at %d: %v after %v", i, pts[i].At, pts[i-1].At)
-		}
-	}
-	// The series must remain queryable and integrable.
-	if v := s.At(pts[len(pts)-1].At); v != pts[len(pts)-1].Value {
-		t.Fatalf("At(last) = %v", v)
-	}
-	if s.Integral(sim.Seconds(100000)) <= 0 {
-		t.Fatal("integral vanished")
-	}
-}
-
-func TestSeriesMaxPointsOffByDefault(t *testing.T) {
+func TestSeriesKeepsEveryInstant(t *testing.T) {
 	s := NewSeries("exact")
 	for i := 0; i < 5000; i++ {
 		s.Record(sim.Time(i), float64(i))
 	}
 	if s.Len() != 5000 {
-		t.Fatalf("len = %d, want exact 5000 without a cap", s.Len())
-	}
-}
-
-func TestSeriesSetMaxPointsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cap below 4 must panic")
-		}
-	}()
-	NewSeries("bad").SetMaxPoints(2)
-}
-
-func TestGaugeMaxPointsKeepsValueExact(t *testing.T) {
-	g := NewGauge("capped")
-	g.SetMaxPoints(64)
-	for i := 0; i < 10000; i++ {
-		g.Add(sim.Time(2*i), 1)
-		g.Add(sim.Time(2*i+1), -1)
-	}
-	if g.Value() != 0 {
-		t.Fatalf("value = %d, want 0 (exact despite downsampling)", g.Value())
-	}
-	if g.Series().Len() > 64 {
-		t.Fatalf("series len = %d, want <= 64", g.Series().Len())
+		t.Fatalf("len = %d, want exact 5000", s.Len())
 	}
 }
