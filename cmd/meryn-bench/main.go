@@ -36,7 +36,7 @@ func main() {
 		reps       = flag.Int("reps", 0, "seed replications for sampling experiments (0 = default)")
 		jsonPath   = flag.String("json", "", "also write machine-readable JSON to this file (- for stdout)")
 		sweepSpec  = flag.String("sweep", "", `run a custom matrix sweep, e.g. "policy=meryn,static load=35,50 reps=5" (overrides -exp)`)
-		shards     = flag.Int("shards", 0, "core shard count for every experiment platform (0 = per-experiment default; identical outputs for tie-free workloads like the scale experiment)")
+		shards     = flag.Int("shards", 0, "core shard count for every experiment platform (0 = per-experiment default); outputs match the unsharded run only for shard-local workloads like the scale experiment: on the paper's workloads cross-shard effects land at window barriers and shift timings")
 		scaleApps  = flag.String("scale-apps", "", `comma-separated app counts for the scale experiment, e.g. "1000,100000,1000000"`)
 		scaleBench = flag.Bool("scale-bench", false, "scale experiment: benchmark mode (each app count at shards 1/4/8, wall-clock recorded)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")

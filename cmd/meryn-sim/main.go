@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chart     = fs.Bool("chart", false, "print the VM-usage ASCII chart")
 		csvOut    = fs.String("csv", "", "write the usage series as CSV to this file")
 		hier      = fs.Bool("hierarchy", false, "deploy the Snooze-like hierarchical management plane")
-		shards    = fs.Int("shards", 0, "platform core shard count (0 = classic single engine; identical results for workloads without cross-shard same-instant ties)")
+		shards    = fs.Int("shards", 0, "platform core shard count (0 = classic single engine); results match it only for shard-local workloads: on the paper's workload cross-shard effects land at window barriers and shift timings")
 		services  = fs.Bool("services", false, "run the elastic latency-SLO services demo scenario instead of the batch workload")
 		svcLoad   = fs.Float64("svc-load", 1, "services demo: offered-load multiplier")
 		svcBurst  = fs.Float64("svc-burst", 2.5, "services demo: burst amplitude (1 = no bursts)")
