@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"meryn/internal/chaos"
 	"meryn/internal/cloud"
 	"meryn/internal/core"
@@ -63,7 +61,6 @@ func ChaosScenario(cfg ChaosScenarioConfig) Scenario {
 		Policy:   core.PolicyMeryn,
 		Seed:     seed,
 		Workload: waves,
-		Label:    fmt.Sprintf("chaos %s/%s", intensity, policy),
 		Mutate: func(c *core.Config) {
 			c.VCs = []core.VCConfig{{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 8}}
 			if policy == SpotPolicySpot {

@@ -1,10 +1,10 @@
 // Package exp defines the reproduction experiments: one per table and
 // figure in the paper's evaluation (Table 1, Figures 5a/5b, 6a/6b) plus
-// the ablations listed in DESIGN.md, and the parallel sweep harness
-// (Matrix/Pool in sweep.go) that executes scenario grids across cores
-// with per-run derived seeds and mean/CI aggregation. Each experiment
-// builds scenarios on the core platform, runs them through the harness,
-// and returns a result that renders to text and knows the paper-expected
+// the ablations listed in DESIGN.md, and the harness (Grid/Pool in
+// grid.go) that executes scenario grids across cores with per-run
+// derived seeds and mean/CI aggregation. Each experiment builds
+// scenarios on the core platform, runs them through the harness, and
+// returns a result that renders to text and knows the paper-expected
 // values for shape checking.
 package exp
 
@@ -22,8 +22,8 @@ type Scenario struct {
 	Mutate   func(*core.Config) // applied after DefaultConfig
 	Workload workload.Workload
 	// Label names the scenario in errors surfaced by RunScenarios, so a
-	// failing unit in a large grid identifies itself (e.g. the Table 1
-	// case or the sweep cell), not just its run index.
+	// failing unit identifies itself (e.g. the Table 1 case), not just
+	// its run index. Grid runs are labelled with their seed key.
 	Label string
 	// Setup, when non-nil, runs against the freshly built platform
 	// before the workload starts — the hook chaos campaigns use to arm

@@ -226,7 +226,6 @@ type Grid struct {
 // grid's Prefix, the cell's axis values and the rep, joined by "/".
 type Run struct {
 	Cell Cell
-	Rep  int
 	Key  string
 	Seed int64
 }
@@ -286,7 +285,7 @@ func (g Grid) Expand() []Run {
 		}
 		for rep := 0; rep < g.Reps; rep++ {
 			key := fmt.Sprintf("%s%s/rep=%d", g.Prefix, strings.Join(parts, "/"), rep)
-			runs = append(runs, Run{Cell: c, Rep: rep, Key: key, Seed: DeriveSeed(g.BaseSeed, key)})
+			runs = append(runs, Run{Cell: c, Key: key, Seed: DeriveSeed(g.BaseSeed, key)})
 		}
 	}
 	return runs

@@ -76,7 +76,6 @@ func ServerlessScenario(cfg ServerlessScenarioConfig) Scenario {
 		Policy:   core.PolicyMeryn,
 		Seed:     cfg.Seed,
 		Workload: workload.Merge(fns, batchStream),
-		Label:    fmt.Sprintf("serverless gap=%g/cold=%g/conc=%g", cfg.IdleGapS, cfg.ColdStartS, cfg.ConcTarget),
 		Mutate: func(c *core.Config) {
 			c.VCs = []core.VCConfig{
 				{Name: "fn1", Type: workload.TypeServerless, InitialVMs: 24},

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"meryn/internal/core"
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
@@ -74,7 +72,6 @@ func ServiceScenario(cfg ServiceScenarioConfig) Scenario {
 		Policy:   core.PolicyMeryn,
 		Seed:     cfg.Seed,
 		Workload: workload.Merge(services, batchStream),
-		Label:    fmt.Sprintf("services %s/load=%g/burst=%g", cfg.Policy, cfg.LoadMult, cfg.BurstAmp),
 		Mutate: func(c *core.Config) {
 			c.VCs = []core.VCConfig{
 				{Name: "svc1", Type: workload.TypeService, InitialVMs: 24},

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"meryn/internal/cloud"
 	"meryn/internal/core"
 	"meryn/internal/sim"
@@ -62,7 +60,6 @@ func SpotScenario(cfg SpotScenarioConfig) Scenario {
 		Policy:   core.PolicyMeryn,
 		Seed:     cfg.Seed,
 		Workload: waves,
-		Label:    fmt.Sprintf("spot %s/bid=%g/vol=%g", policy, bidMult, vol),
 		Mutate: func(c *core.Config) {
 			c.VCs = []core.VCConfig{{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 8}}
 			if policy == SpotPolicySpot {
