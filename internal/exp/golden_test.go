@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -45,6 +46,34 @@ func TestGridGolden(t *testing.T) {
 			}
 			checkGolden(t, tc.name+".json", js)
 			checkGolden(t, tc.name+".txt", []byte(res.Render()))
+		})
+	}
+}
+
+// TestPaperGolden pins the JSON (as meryn-bench -json encodes a
+// result) and rendered text of every paper experiment and ablation at
+// its default size and seed 1. The paper-band tests only check that
+// the numbers stay inside the paper's bands; these files catch any
+// byte that moves. Regenerate with
+// `go test ./internal/exp -run TestPaperGolden -update` only when an
+// output change is intended.
+func TestPaperGolden(t *testing.T) {
+	for _, name := range []string{"table1", "fig5", "fig6", "penalty-n", "billing", "policies", "market", "suspension", "realistic"} {
+		t.Run(name, func(t *testing.T) {
+			e, ok := Find(name)
+			if !ok {
+				t.Fatalf("experiment %q not registered", name)
+			}
+			res, err := e.Run(1, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".json", append(js, '\n'))
+			checkGolden(t, name+".txt", []byte(res.Render()))
 		})
 	}
 }
