@@ -107,8 +107,8 @@ func main() {
 	}
 	var jsonResults []namedResult
 
-	run := func(name, artifact string, do func() (exp.Renderable, error)) {
-		fmt.Fprintf(out, "=== %s — %s (seed %d) ===\n\n", name, artifact, *seed)
+	run := func(name, artifact string, seed int64, do func() (exp.Renderable, error)) {
+		fmt.Fprintf(out, "=== %s — %s (seed %d) ===\n\n", name, artifact, seed)
 		r, err := do()
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
@@ -125,23 +125,24 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if m.BaseSeed == 0 { // spec's seed= wins over -seed
-			m.BaseSeed = *seed
+		base := *seed
+		if m.BaseSeed != 0 { // spec's seed= wins over -seed
+			base = m.BaseSeed
 		}
-		run(m.Name, "custom matrix sweep", func() (exp.Renderable, error) {
-			return m.Run(opt)
+		run(m.Name, "custom matrix sweep", base, func() (exp.Renderable, error) {
+			return m.RunAt(base, opt)
 		})
 	case *expName == "all":
 		for _, e := range exp.All() {
 			e := e
-			run(e.Name, e.Artifact, func() (exp.Renderable, error) { return e.Run(*seed, opt) })
+			run(e.Name, e.Artifact, *seed, func() (exp.Renderable, error) { return e.Run(*seed, opt) })
 		}
 	default:
 		e, ok := exp.Find(*expName)
 		if !ok {
 			fatal(fmt.Errorf("unknown experiment %q (use -list)", *expName))
 		}
-		run(e.Name, e.Artifact, func() (exp.Renderable, error) { return e.Run(*seed, opt) })
+		run(e.Name, e.Artifact, *seed, func() (exp.Renderable, error) { return e.Run(*seed, opt) })
 	}
 
 	if *jsonPath != "" {

@@ -469,10 +469,10 @@ func runSweep(out io.Writer, spec string, seed int64, opt exp.Options, jsonPath 
 	if err != nil {
 		return err
 	}
-	if m.BaseSeed == 0 { // spec's seed= wins over -seed
-		m.BaseSeed = seed
+	if m.BaseSeed != 0 { // spec's seed= wins over -seed
+		seed = m.BaseSeed
 	}
-	res, err := m.Run(opt)
+	res, err := m.RunAt(seed, opt)
 	if err != nil {
 		return err
 	}

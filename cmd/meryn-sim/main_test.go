@@ -14,11 +14,13 @@ import (
 func TestBadFlagCombosExitNonZero(t *testing.T) {
 	cases := [][]string{
 		{"-policy", "bogus", "-vc1-apps", "1", "-vc2-apps", "0"},
-		{"-workers", "4"},                  // sweep-only flag without -sweep
-		{"-svc-load", "2"},                 // services-only flag without -services
-		{"-sweep", "default", "-chart"},    // single-run flag with -sweep
-		{"-services", "-policy", "static"}, // single-run flag with -services
-		{"-sweep", "nope=1"},               // unknown sweep axis
+		{"-workers", "4"},                   // sweep-only flag without -sweep
+		{"-svc-load", "2"},                  // services-only flag without -services
+		{"-sweep", "default", "-chart"},     // single-run flag with -sweep
+		{"-services", "-policy", "static"},  // single-run flag with -services
+		{"-sweep", "nope=1"},                // unknown sweep axis
+		{"-sweep", "seed=0"},                // seed 0 reads as unset
+		{"-sweep", "default", "-seed", "0"}, // grids start at seed 1
 		{"-trace", "/does/not/exist.csv", "-vc1-apps", "1"},
 	}
 	for _, args := range cases {

@@ -72,8 +72,8 @@ type AppController struct {
 	st   *appState
 	tick *sim.Timer
 
-	// Event-driven scheduling (sharded runtime, batch-framework apps
-	// without an SLO). The legacy per-interval poll evaluates monotone
+	// Event-driven scheduling (batch-framework apps without an SLO, on
+	// every engine). The legacy per-interval poll evaluates monotone
 	// conditions against a linear progress model, so between job
 	// transitions the first grid instant at which a check could act is
 	// computable in closed form — the controller sleeps until exactly
@@ -109,7 +109,7 @@ type AppController struct {
 // application finishes.
 func newAppController(cm *ClusterManager, st *appState) *AppController {
 	ac := &AppController{cm: cm, st: st}
-	if _, batch := cm.ad.(*BatchAdapter); batch && cm.p.shards != nil &&
+	if _, batch := cm.ad.(*BatchAdapter); batch &&
 		st.contract.SLO == nil && !cm.p.cfg.PollControllers {
 		ac.evDriven = true
 		ac.created = cm.eng.Now()

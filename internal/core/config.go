@@ -245,19 +245,23 @@ type Config struct {
 	// engines that dispatch concurrently within tick windows, with
 	// cross-shard effects merged deterministically at a barrier (see
 	// internal/core/shard.go). 0 or 1 (the default) keeps the classic
-	// single-engine dispatch; results are identical either way for
-	// workloads without cross-shard same-instant event ties.
+	// single-engine dispatch. Results match it only for workloads whose
+	// protocol stays shard-local: cross-shard effects land at the
+	// window barrier, not at their own instant (ROADMAP item 1).
 	Shards int
 	// ShardWindow is the tick-window width used when Shards > 1
-	// (default 10 s). Larger windows amortize barrier cost; the width
-	// never changes results, only how often shards synchronize. It must
-	// not exceed the settle grace period (300 s).
+	// (default 10 s). Larger windows amortize barrier cost, but the
+	// width can change results: a cross-shard effect is delayed to the
+	// end of its window, so on workloads that exchange VMs or suspend
+	// across shards timings grow with the width (Table 1 cloud-vm:
+	// 70.9 s unsharded, then 71.0, 71.9 and 72.9 s at 0.1, 1 and 10 s
+	// windows). It must not exceed the settle grace period (300 s).
 	ShardWindow sim.Time
 	// PollControllers forces the legacy per-interval poll Application
-	// Controllers even when Shards > 1, instead of the event-driven
-	// controllers the sharded runtime uses for batch applications. The
-	// two are observably identical by construction; this escape hatch
-	// exists for A/B tests and for measuring the monitor-tick cost.
+	// Controllers for batch applications instead of the event-driven
+	// controllers every engine uses by default. The two are observably
+	// identical by construction; this escape hatch exists for A/B tests
+	// and for measuring the monitor-tick cost.
 	PollControllers bool
 
 	// Latencies configures the Meryn pipeline (default Table 1 calibration).

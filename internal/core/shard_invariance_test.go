@@ -166,6 +166,8 @@ func TestControllerInvarianceUnderCrashes(t *testing.T) {
 		poll   bool
 	}
 	variants := []variant{
+		{shards: 1, poll: false},
+		{shards: 1, poll: true},
 		{shards: 4, poll: false},
 		{shards: 4, poll: true},
 		{shards: 8, poll: false},

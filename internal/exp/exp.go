@@ -122,12 +122,10 @@ func All() []Experiment {
 	}
 }
 
-// runGrid runs a stock grid at the given base seed.
+// runGrid runs a stock grid at the given base seed, which must not be 0.
 func runGrid(stock func() Grid) func(int64, Options) (Renderable, error) {
 	return func(seed int64, opt Options) (Renderable, error) {
-		g := stock()
-		g.BaseSeed = seed
-		return g.Run(opt)
+		return stock().RunAt(seed, opt)
 	}
 }
 

@@ -335,6 +335,18 @@ func (g Grid) Run(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// RunAt runs g at base seed seed. Unlike the BaseSeed field, whose zero
+// value means 1, seed 0 here is an error: the CLIs pass their -seed
+// through, and running seed 1 under a "seed 0" heading would misreport
+// the run.
+func (g Grid) RunAt(seed int64, opt Options) (*Result, error) {
+	if seed == 0 {
+		return nil, fmt.Errorf("exp: %s %q: base seed 0 is not supported; grid seeds start at 1", strings.ToLower(g.Title), g.Name)
+	}
+	g.BaseSeed = seed
+	return g.Run(opt)
+}
+
 // Result is an executed grid: one CellResult per cell, in expansion
 // order, so rendering and JSON are byte-identical whatever the worker
 // count.

@@ -31,10 +31,10 @@ const (
 	// running 1200 s on one VM — utilization 1200/(4·320) ≈ 0.94 per
 	// 4-VM VC, a saturated-but-stable queue. Long-running jobs are the
 	// representative PaaS batch shape (the paper's workloads run for
-	// hours) and the demanding one for the control plane: the legacy
-	// engine pays a 30 s monitor tick for every application's whole
-	// lifetime (~40 ticks each), while the sharded runtime's
-	// event-driven controllers replace them with O(1) checks.
+	// hours) and the demanding one for the control plane: a polling
+	// controller would pay a 30 s monitor tick for every application's
+	// whole lifetime (~40 ticks each); the event-driven controllers
+	// every engine uses replace them with O(1) checks.
 	scaleWave = 320
 	scaleWork = 1200
 )

@@ -143,7 +143,7 @@ func ParseMatrix(spec string) (Grid, error) {
 			g.Reps = n
 		case "seed":
 			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
+			if err != nil || n == 0 { // 0 would read as "unset" in the CLIs
 				return g, fmt.Errorf("exp: sweep spec: bad seed %q", v)
 			}
 			g.BaseSeed = n

@@ -226,6 +226,9 @@ func TestSweepParseMatrix(t *testing.T) {
 	if _, err := ParseMatrix("what=1"); err == nil {
 		t.Fatal("want error for unknown key")
 	}
+	if _, err := ParseMatrix("seed=0"); err == nil {
+		t.Fatal("want error for seed 0, which the CLIs read as unset")
+	}
 	// Empty spec yields the stock matrix.
 	d, err := ParseMatrix("")
 	if err != nil {
@@ -233,6 +236,24 @@ func TestSweepParseMatrix(t *testing.T) {
 	}
 	if d.Name != SweepGrid().Name {
 		t.Fatalf("empty spec = %+v", d)
+	}
+}
+
+// TestGridSeedZeroRejected pins that no grid runs seed 1 when asked for
+// seed 0: the registry's grid experiments and RunAt both refuse it
+// before running anything.
+func TestGridSeedZeroRejected(t *testing.T) {
+	for _, name := range []string{"sweep", "services", "serverless", "spot", "chaos"} {
+		e, ok := Find(name)
+		if !ok {
+			t.Fatalf("experiment %q not registered", name)
+		}
+		if _, err := e.Run(0, Options{}); err == nil {
+			t.Errorf("%s ran at seed 0", name)
+		}
+	}
+	if _, err := fastMatrix().RunAt(0, Options{}); err == nil {
+		t.Fatal("RunAt(0) ran")
 	}
 }
 

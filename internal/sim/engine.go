@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -31,36 +30,72 @@ type event struct {
 	canc *bool // optional cancellation flag
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires before b: earlier time first, then
+// scheduling order. (at, seq) is a total order, so dispatch order never
+// depends on how the heap arranges its slots.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// eventQueue is a binary min-heap of future events ordered by before.
+type eventQueue []*event
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+// push inserts ev, sifting it up from the last slot.
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	*q = h
+}
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must be
+// non-empty. The last slot's event sifts down from the root.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; run independent simulations in separate Engines
 // (see exp.Pool for parallel sweeps).
 //
-// Two hot-path optimizations keep event dispatch cheap:
+// Three hot-path optimizations keep event dispatch cheap:
 //
+//   - future events sit in a typed binary min-heap (eventQueue) that
+//     compares (at, seq) inline, with none of the interface calls
+//     container/heap makes per sift step;
 //   - fired events are recycled through a free list, so steady-state
 //     simulation (handlers scheduling follow-up events) allocates no
 //     event records after warm-up;
@@ -122,7 +157,7 @@ func (e *Engine) add(t Time, fn func(), canc *bool) {
 		e.ring = append(e.ring, ev)
 		return
 	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // popNext removes and returns the earliest queued event, interleaving
@@ -132,8 +167,7 @@ func (e *Engine) popNext(until Time) *event {
 	var ev *event
 	fromRing := e.ringPos < len(e.ring)
 	if fromRing && len(e.queue) > 0 {
-		r, h := e.ring[e.ringPos], e.queue[0]
-		fromRing = r.at < h.at || (r.at == h.at && r.seq < h.seq)
+		fromRing = e.ring[e.ringPos].before(e.queue[0])
 	}
 	if fromRing {
 		ev = e.ring[e.ringPos]
@@ -154,7 +188,7 @@ func (e *Engine) popNext(until Time) *event {
 	if e.queue[0].at > until {
 		return nil
 	}
-	return heap.Pop(&e.queue).(*event)
+	return e.queue.pop()
 }
 
 // NewEngine returns an Engine with the clock at zero and an empty queue.

@@ -274,6 +274,115 @@ func TestPropertyDispatchOrderSorted(t *testing.T) {
 	}
 }
 
+// Property: dispatch follows the exact (at, seq) order — time first,
+// then scheduling order — under random At/After/Every/Cancel schedules
+// drawn from four whole-second delays, so most events tie with others
+// in the heap, and handlers keep scheduling at Now() (the ring) and into
+// the future (the heap). The test mirrors the engine's sequence counter:
+// one stamp per At/After/Every call and per Every re-arm, which the
+// engine makes right after the series' callback returns uncancelled.
+func TestPropertyDispatchOrderExact(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	type timer struct {
+		t         *Timer
+		cur       *key // the series' pending occurrence
+		cancelled bool
+	}
+	const horizon = 40 * time.Second
+	f := func(ops []uint16) bool {
+		e := NewEngine()
+		var (
+			seq    uint64
+			next   int
+			fired  []key
+			due    = map[key]bool{} // scheduled, neither fired nor cancelled
+			timers []*timer
+			ok     = true
+			step   func()
+		)
+		stamp := func(at Time) key {
+			seq++
+			k := key{at, seq}
+			due[k] = true
+			return k
+		}
+		record := func(k key) {
+			if e.Now() != k.at || !due[k] {
+				ok = false
+			}
+			delete(due, k)
+			fired = append(fired, k)
+		}
+		once := func(k key) func() {
+			return func() {
+				record(k)
+				step()
+			}
+		}
+		step = func() {
+			if next >= len(ops) {
+				return
+			}
+			op := ops[next]
+			next++
+			d := Time(op/5%4) * time.Second
+			switch op % 5 {
+			case 0:
+				k := stamp(e.Now() + d)
+				e.At(e.Now()+d, once(k))
+			case 1:
+				k := stamp(e.Now() + d)
+				timers = append(timers, &timer{t: e.After(d, once(k)), cur: &k})
+			case 2:
+				period := d + time.Second
+				tm := &timer{cur: new(key)}
+				*tm.cur = stamp(e.Now() + period)
+				tm.t = e.Every(period, func() {
+					record(*tm.cur)
+					step()
+					if !tm.cancelled {
+						*tm.cur = stamp(e.Now() + period)
+					}
+				})
+				timers = append(timers, tm)
+			case 3:
+				if len(timers) > 0 {
+					tm := timers[int(op/5)%len(timers)]
+					tm.t.Cancel()
+					tm.cancelled = true
+					delete(due, *tm.cur)
+				}
+				step()
+			case 4: // fan out: two more ops from this instant
+				step()
+				step()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		e.Run(horizon)
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
+				return false
+			}
+		}
+		for k := range due {
+			if k.at <= horizon {
+				return false // due by the horizon but never fired
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: every scheduled event fires exactly once under RunAll.
 func TestPropertyAllEventsFireOnce(t *testing.T) {
 	f := func(delays []uint16) bool {
@@ -385,6 +494,35 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		}
 	}
 	e.Schedule(time.Millisecond, next)
+	e.RunAll()
+}
+
+// BenchmarkEngineHeapChurn holds about 1,000 events pending at random
+// future delays, each dispatched event scheduling one replacement, so
+// heap sift work dominates: the shape of a platform run with many
+// concurrent timers. One op is one dispatched event.
+func BenchmarkEngineHeapChurn(b *testing.B) {
+	b.ReportAllocs()
+	r := rand.New(rand.NewSource(1))
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = Time(1+r.Intn(1000000)) * time.Microsecond
+	}
+	e := NewEngine()
+	remaining, k := b.N, 0
+	var next func()
+	next = func() {
+		if remaining > 0 {
+			remaining--
+			e.Schedule(delays[k%len(delays)], next)
+			k++
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		e.Schedule(delays[k%len(delays)], next)
+		k++
+	}
+	b.ResetTimer()
 	e.RunAll()
 }
 
